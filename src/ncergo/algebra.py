@@ -328,6 +328,23 @@ class Element:
         return f"Element(dims={self.algebra.block_dims}, max_abs={self.max_abs():.4g})"
 
 
+def stack_hermitian_deviation(
+    stacks: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member (max |x - x*| entry, max |x| entry) over (n, d_b, d_b) stacks.
+
+    Member k's pair equals Element._hermitian_deviation() and max_abs() of
+    the element whose blocks are stacks[b][k].
+    """
+    dev = mag = None
+    for s in stacks:
+        dev_b = np.abs(s - np.conj(np.swapaxes(s, -1, -2))).max(axis=(1, 2))
+        mag_b = np.abs(s).max(axis=(1, 2))
+        dev = dev_b if dev is None else np.maximum(dev, dev_b)
+        mag = mag_b if mag is None else np.maximum(mag, mag_b)
+    return dev, mag
+
+
 @dataclass(frozen=True)
 class Projection:
     """Element verified to be an orthogonal projection.

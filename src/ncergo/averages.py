@@ -86,6 +86,14 @@ class AverageFamily:
     def raw(self) -> np.ndarray:
         return self._data
 
+    def block_stacks(self) -> list[np.ndarray]:
+        """Read-only views (n, d_b, d_b), one per block, members in items() order."""
+        flat = self._data.reshape(-1, self.algebra.basis_size)
+        return [
+            flat[:, seg].reshape(-1, d, d)
+            for seg, d in zip(self.algebra._slices, self.algebra.block_dims)
+        ]
+
     def restrict(self, box: Box) -> "AverageFamily":
         if not (self.box.contains(box.lower) and self.box.contains(box.upper)):
             raise StructuralError(f"box {box} is not contained in {self.box}")

@@ -19,11 +19,10 @@ import numpy as np
 
 from .algebra import (
     Box,
-    Element,
     Projection,
     lp_norm,
     spectral_projection,
-    trace,
+    stack_hermitian_deviation,
 )
 from .averages import AverageFamily
 from .errors import IntegrityError, StructuralError
@@ -57,6 +56,7 @@ class BauCertificate:
     trace_complement: float
     tail_size: int
     flags: tuple[str, ...] = ()
+    iterations: int = 0  # of the dominant solves behind the certificate
 
     @property
     def sound(self) -> bool:
@@ -66,19 +66,10 @@ class BauCertificate:
         )
 
 
-def _stack_blocks(family: AverageFamily) -> list[np.ndarray]:
-    alg = family.algebra
-    flat = family.raw().reshape(-1, alg.basis_size)
-    return [
-        flat[:, seg].reshape(-1, d, d)
-        for seg, d in zip(alg._slices, alg.block_dims)
-    ]
-
-
-def _compressed_sup(e: Projection, family: AverageFamily) -> float:
+def _compressed_sup(e: Projection, stacks: list[np.ndarray]) -> float:
     """max over the family of ||e r e||_inf, computed blockwise in batch."""
     worst = 0.0
-    for e_b, r_b in zip(e.element.blocks, _stack_blocks(family)):
+    for e_b, r_b in zip(e.element.blocks, stacks):
         if r_b.shape[0] == 0:
             continue
         comp = e_b[None] @ r_b @ e_b[None]
@@ -87,16 +78,13 @@ def _compressed_sup(e: Projection, family: AverageFamily) -> float:
     return worst
 
 
-def _hermitian_family(family: AverageFamily, tol: float) -> list[Element]:
-    els = family.elements()
-    scale = 1.0 + max((x.max_abs() for x in els), default=0.0)
-    for x in els:
-        if not x.is_hermitian(tol * scale):
-            raise StructuralError(
-                "residuals must be Hermitian; split complex residuals first "
-                "(certify_bau_complex does this)"
-            )
-    return [x.real_part() for x in els]
+def _trace_complement(e: Projection) -> float:
+    """tau(1 - e) = sum_b w_b (d_b - rank e_b), exact from the ranks of e."""
+    alg = e.algebra
+    return float(sum(
+        w * (d - round(float(np.trace(b).real)))
+        for w, d, b in zip(alg.trace_weights, alg.block_dims, e.element.blocks)
+    ))
 
 
 def certify_bau(
@@ -124,12 +112,20 @@ def certify_bau(
     if epsilon is not None and not 0.0 < float(epsilon) < total:
         raise ValueError(f"epsilon must lie in (0, {total}), got {epsilon}")
 
-    els = _hermitian_family(residuals, 1e-8)
+    dev, mag = stack_hermitian_deviation(residuals.block_stacks())
+    scale = 1.0 + float(mag.max(initial=0.0))
+    if np.any(dev > 1e-8 * scale * (1.0 + mag)):
+        raise StructuralError(
+            "residuals must be Hermitian; split complex residuals first "
+            "(certify_bau_complex does this)"
+        )
+    re_stacks = residuals.hermitian_split()[0].block_stacks()
     flags: list[str] = []
     onset = min(residuals.box.lower)
 
-    pm = [r for x in els for r in (x, -x)]
-    rep = dominant_element(pm, p, tol, max_iter)
+    # +-r_n interleaved: r_1, -r_1, r_2, -r_2, ...
+    pm = [np.stack((r, -r), axis=1).reshape((-1,) + r.shape[1:]) for r in re_stacks]
+    rep = dominant_element(pm, p, tol, max_iter, algebra=alg)
     a = rep.dominant
     if not rep.converged:
         flags.append("bound not tight: dominant solve hit the iteration cap")
@@ -152,12 +148,12 @@ def certify_bau(
             flags.append("epsilon back-computed from the Chebyshev bound")
 
     e = spectral_projection(a, (-np.inf, lam_val))
-    trace_comp = float(np.real(trace(alg.identity() - e.element)))
-    tail_sup = _compressed_sup(e, residuals.hermitian_split()[0])
+    trace_comp = _trace_complement(e)
+    tail_sup = _compressed_sup(e, re_stacks)
 
     cert = BauCertificate(
         e, eps_val, lam_val, p, onset, tail_sup, norm, trace_comp,
-        residuals.box.size, tuple(flags),
+        residuals.box.size, tuple(flags), rep.iterations,
     )
     if not cert.sound:
         raise IntegrityError(
@@ -190,20 +186,20 @@ def certify_bau_complex(
     scale = 1.0 + float(np.abs(residuals.raw()).max(initial=0.0))
     if float(np.abs(im_fam.raw()).max(initial=0.0)) <= 1e-14 * scale:
         cert = certify_bau(re_fam, p, epsilon, None, tol, max_iter)
-        tail_sup = _compressed_sup(cert.e, residuals)
+        tail_sup = _compressed_sup(cert.e, residuals.block_stacks())
         return BauCertificate(
             cert.e, cert.epsilon, cert.lam, cert.p, cert.onset, tail_sup,
             cert.dominant_norm, cert.trace_complement, cert.tail_size,
             cert.flags + ("imaginary part negligible; certified the real part",),
+            cert.iterations,
         )
     half = float(epsilon) / 2.0
     cert_r = certify_bau(re_fam, p, half, None, tol, max_iter)
     cert_i = certify_bau(im_fam, p, half, None, tol, max_iter)
     e = _meet(cert_r.e, cert_i.e)
-    alg = residuals.algebra
-    trace_comp = float(np.real(trace(alg.identity() - e.element)))
+    trace_comp = _trace_complement(e)
     lam = cert_r.lam + cert_i.lam
-    tail_sup = _compressed_sup(e, residuals)
+    tail_sup = _compressed_sup(e, residuals.block_stacks())
     flags = (
         "complex residuals split into Hermitian parts; e is the meet of the "
         "part projections",
@@ -211,7 +207,7 @@ def certify_bau_complex(
     cert = BauCertificate(
         e, float(epsilon), lam, float(p), cert_r.onset, tail_sup,
         cert_r.dominant_norm + cert_i.dominant_norm, trace_comp,
-        residuals.box.size, flags,
+        residuals.box.size, flags, cert_r.iterations + cert_i.iterations,
     )
     if not cert.sound:
         raise IntegrityError(

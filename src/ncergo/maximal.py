@@ -25,16 +25,18 @@ import numpy as np
 
 from ._numeric import DEFAULT_BUDGET
 from .algebra import (
+    Algebra,
     Box,
     Element,
     decompose_four_positives,
     is_positive,
     lp_norm,
+    stack_hermitian_deviation,
     volume,
 )
 from .averages import ergodic_average_family
 from .contraction import LinearOperator
-from .errors import BudgetError, StructuralError
+from .errors import BudgetError, NumericError, StructuralError
 
 FEAS_TOL = 1e-12
 ACTIVE_SET_THRESHOLD = 48
@@ -63,12 +65,45 @@ def _herm(b: np.ndarray) -> np.ndarray:
     return (b + np.conj(np.swapaxes(b, -1, -2))) / 2
 
 
-def _stack_family(family: Sequence[Element]) -> list[np.ndarray]:
-    alg = family[0].algebra
-    return [
-        _herm(np.stack([x.blocks[b] for x in family]))
-        for b in range(alg.num_blocks)
+def _stack_elements(family: Sequence[Element]) -> tuple[Algebra, list[np.ndarray]]:
+    fam = list(family)
+    if not fam:
+        raise StructuralError("dominant element needs a nonempty family")
+    alg = fam[0].algebra
+    for x in fam:
+        if x.algebra != alg:
+            raise StructuralError("family members live in different algebras")
+    return alg, [
+        np.stack([x.blocks[b] for x in fam]) for b in range(alg.num_blocks)
     ]
+
+
+def _check_stacks(alg: Algebra, raw: list[np.ndarray]) -> None:
+    """Shapes (n, d_b, d_b) with a common n >= 1, finite, Hermitian per member."""
+    if len(raw) != alg.num_blocks:
+        raise StructuralError(
+            f"expected {alg.num_blocks} block stacks, got {len(raw)}"
+        )
+    n = raw[0].shape[0] if raw[0].ndim == 3 else -1
+    for s, d in zip(raw, alg.block_dims):
+        if s.shape != (n, d, d):
+            raise StructuralError(
+                f"block stack shape {s.shape} does not match ({n}, {d}, {d})"
+            )
+        if not np.all(np.isfinite(s)):
+            raise NumericError("non-finite entries in a block stack")
+    if n == 0:
+        raise StructuralError("dominant element needs a nonempty family")
+    dev, mag = stack_hermitian_deviation(raw)
+    if np.any(dev > 1e-8 * (1.0 + mag)):
+        raise StructuralError(
+            "family members must be Hermitian; split complex elements first"
+        )
+
+
+def _offdiag_max(s: np.ndarray) -> float:
+    """Largest off-diagonal modulus over a (n, d, d) stack."""
+    return float(np.where(np.eye(s.shape[-1], dtype=bool), 0.0, np.abs(s)).max())
 
 
 def _pos_clamp(b: np.ndarray) -> np.ndarray:
@@ -278,23 +313,20 @@ def _contact_bound(
         return 0.0
     scale = 1.0 + max(float(np.abs(s).max()) for s in stacks)
     ctol = 1e-7 * scale
-    n_members = stacks[0].shape[0]
+    eigs = [
+        np.linalg.eigh(_herm(a_b[None] - x_b))
+        for a_b, x_b in zip(a_blocks, stacks)
+    ]
+    hit = np.zeros(stacks[0].shape[0], dtype=bool)
+    for lam, _ in eigs:
+        hit |= lam[:, 0] <= ctol
     contacts: list[tuple[int, list[np.ndarray | None]]] = []
-    for k in range(n_members):
+    for k in np.flatnonzero(hit)[:64]:
         bases: list[np.ndarray | None] = []
-        hit = False
-        for a_b, x_b in zip(a_blocks, stacks):
-            lam, v = np.linalg.eigh(_herm(a_b - x_b[k]))
-            keep = lam <= ctol
-            if np.any(keep):
-                bases.append(v[:, keep])
-                hit = True
-            else:
-                bases.append(None)
-        if hit:
-            contacts.append((k, bases))
-        if len(contacts) >= 64:
-            break
+        for lam, v in eigs:
+            keep = lam[k] <= ctol
+            bases.append(v[k][:, keep] if np.any(keep) else None)
+        contacts.append((int(k), bases))
     if not contacts:
         return 0.0
 
@@ -341,32 +373,25 @@ def _dual_lower_bound(
     )
 
 
-def _joint_eigenbasis(family: Sequence[Element], tol: float = 1e-10):
-    """Common unitary diagonalizing every member, or None."""
-    alg = family[0].algebra
-    scale = 1.0 + max(x.max_abs() for x in family)
+def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
+                      tol: float = 1e-10):
+    """Common unitary diagonalizing every member, or None.
 
-    def offdiag(b):
-        return b - np.diag(np.diag(b))
-
-    if all(
-        float(np.abs(offdiag(b)).max()) <= 1e-13 * scale
-        for x in family
-        for b in x.blocks
-    ):
-        return [np.eye(d, dtype=np.complex128) for d in alg.block_dims]
+    raw holds the members as given, stacks their Hermitian parts.
+    """
+    scale = 1.0 + max(float(np.abs(s).max()) for s in raw)
+    if all(_offdiag_max(s) <= 1e-13 * scale for s in raw):
+        return [np.eye(s.shape[-1], dtype=np.complex128) for s in raw]
+    steps = np.arange(1, raw[0].shape[0] + 1)
     for seed_coef in (1.2345678901, 2.7182818284):
-        basis = []
-        for b in range(alg.num_blocks):
-            combo = sum(
-                np.cos(seed_coef * (k + 1)) * x.blocks[b]
-                for k, x in enumerate(family)
-            )
-            basis.append(np.linalg.eigh(_herm(combo))[1])
+        coef = np.cos(seed_coef * steps)[:, None, None]
+        # sequential over members from 0, like sum() over a list
+        basis = [
+            np.linalg.eigh(_herm(np.add.reduce(coef * s, axis=0, initial=0)))[1]
+            for s in raw
+        ]
         resid = max(
-            float(np.abs(offdiag(v.conj().T @ _herm(x.blocks[b]) @ v)).max())
-            for x in family
-            for b, v in enumerate(basis)
+            _offdiag_max(v.conj().T @ x_b @ v) for v, x_b in zip(basis, stacks)
         )
         if resid <= tol * scale:
             return basis
@@ -377,32 +402,32 @@ def _joint_eigenbasis(family: Sequence[Element], tol: float = 1e-10):
 # dominant element
 
 def dominant_element(
-    family: Sequence[Element],
+    family,
     p: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
     initial: Element | None = None,
+    *,
+    algebra: Algebra | None = None,
 ) -> DominantReport:
     """Smallest-norm positive element dominating every family member.
 
-    Exact for p = inf, single elements, and families with a joint
-    eigenbasis; otherwise projected descent (see module docstring). The
-    reported norm belongs to a verified feasible dominant, the lower bound
-    to a verified dual certificate.
+    family is a sequence of Elements or, when algebra is given, the per-block
+    stacks (n, d_b, d_b) of n members (as AverageFamily.block_stacks()
+    returns them); both inputs give the same report. Exact for p = inf,
+    single elements, and families with a joint eigenbasis; otherwise
+    projected descent (see module docstring). The reported norm belongs to a
+    verified feasible dominant, the lower bound to a verified dual
+    certificate.
     """
-    fam = list(family)
-    if not fam:
-        raise StructuralError("dominant element needs a nonempty family")
-    alg = fam[0].algebra
-    for x in fam:
-        if x.algebra != alg:
-            raise StructuralError("family members live in different algebras")
-        if not x.is_hermitian(1e-8):
-            raise StructuralError(
-                "family members must be Hermitian; split complex elements first"
-            )
+    if algebra is None:
+        alg, raw = _stack_elements(family)
+    else:
+        alg, raw = algebra, [np.asarray(s, dtype=np.complex128) for s in family]
+    _check_stacks(alg, raw)
     wts = alg.trace_weights
-    stacks = _stack_family(fam)
+    stacks = [_herm(s) for s in raw]
+    n_members = stacks[0].shape[0]
 
     def finish(a_el: Element, norm, lower, iters, converged, method):
         margin = float(np.min(_margins_full([b for b in a_el.blocks], stacks)))
@@ -412,11 +437,7 @@ def dominant_element(
         )
 
     if p == np.inf:
-        top = max(
-            float(np.linalg.eigvalsh(_herm(b)).max())
-            for x in fam
-            for b in x.blocks
-        )
+        top = max(float(np.linalg.eigvalsh(s)[:, -1].max()) for s in stacks)
         t = max(top, 0.0)
         a = alg.scalar(t)
         return finish(a, t, t, 0, True, "infinity_exact")
@@ -425,16 +446,16 @@ def dominant_element(
     if p < 1.0 or not np.isfinite(p):
         raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
 
-    if len(fam) == 1:
-        x = fam[0]
+    if n_members == 1:
+        x = alg.element([s[0] for s in raw])
         if is_positive(x, 1e-10):
             a = x
         else:
-            a = alg.element([_pos_clamp(_herm(b)) for b in x.blocks], True)
+            a = alg.element([_pos_clamp(s[0]) for s in stacks], True)
         norm = lp_norm(a, p)
         return finish(a, norm, norm, 0, True, "single_exact")
 
-    basis = _joint_eigenbasis(fam)
+    basis = _joint_eigenbasis(raw, stacks)
     if basis is not None:
         a_blocks, norm_p = [], 0.0
         for w, v, x_b in zip(wts, basis, stacks):
@@ -447,7 +468,6 @@ def dominant_element(
         return finish(a, norm, norm, 0, True, "commuting_exact")
 
     # general route, with an active working set for large families
-    n_members = len(fam)
     if n_members <= ACTIVE_SET_THRESHOLD:
         init_blocks = (
             [_herm(b) for b in initial.blocks] if initial is not None else None
@@ -509,11 +529,19 @@ def sup_plus_norm(
     combined positive family: an upper-bound convention, reported as such
     wherever this value surfaces.
     """
+    return _sup_plus(family, p, tol, max_iter)[0]
+
+
+def _sup_plus(
+    family: Sequence[Element], p: float, tol: float, max_iter: int
+) -> tuple[float, int]:
+    """(sup_plus_norm, iterations of the dominant solve behind it)."""
     fam = list(family)
     if not fam:
         raise StructuralError("sup_plus_norm needs a nonempty family")
     if all(is_positive(x, 1e-8) for x in fam):
-        return dominant_element(fam, p, tol, max_iter).norm
+        rep = dominant_element(fam, p, tol, max_iter)
+        return rep.norm, rep.iterations
     scale = max(x.max_abs() for x in fam)
     parts = []
     for x in fam:
@@ -521,8 +549,9 @@ def sup_plus_norm(
             if part.max_abs() > 1e-14 * (1.0 + scale):
                 parts.append(part)
     if not parts:
-        return 0.0
-    return dominant_element(parts, p, tol, max_iter).norm
+        return 0.0, 0
+    rep = dominant_element(parts, p, tol, max_iter)
+    return rep.norm, rep.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +566,7 @@ class LadderRow:
     ratio: float
     iterations: int
     converged: bool
+    method: str
 
 
 @dataclass(frozen=True)
@@ -547,6 +577,7 @@ class MaximalLadderReport:
     cauchy_gap: float | None
     cauchy_ok: bool
     truncated: bool
+    applications: int  # map applications of the ladder's family grids
 
 
 def maximal_inequality_report(
@@ -576,14 +607,17 @@ def maximal_inequality_report(
     base_norm = lp_norm(x, float(p))
     rows: list[LadderRow] = []
     truncated = False
+    applications = 0
     warm: Element | None = None
     for c in cuts:
         if volume((c,) * d) > budget:
             truncated = True
             break
         fam = ergodic_average_family(maps, x, Box.full((c,) * d), budget)
+        applications += fam.applications
         rep = dominant_element(
-            fam.elements(), float(p), tol, max_iter, initial=warm
+            fam.block_stacks(), float(p), tol, max_iter, initial=warm,
+            algebra=fam.algebra,
         )
         warm = rep.dominant
         rows.append(
@@ -595,6 +629,7 @@ def maximal_inequality_report(
                 rep.norm / base_norm,
                 rep.iterations,
                 rep.converged,
+                rep.method,
             )
         )
     ratios = [r.ratio for r in rows]
@@ -605,7 +640,8 @@ def maximal_inequality_report(
     else:
         cauchy_gap, cauchy_ok = None, False
     return MaximalLadderReport(
-        float(p), tuple(rows), nondecr, cauchy_gap, cauchy_ok, truncated
+        float(p), tuple(rows), nondecr, cauchy_gap, cauchy_ok, truncated,
+        applications,
     )
 
 
@@ -623,6 +659,7 @@ class InterpolationReport:
     slack: float
     passed: bool
     box: Box | None
+    iterations: int  # of both dominant solves
 
 
 def interpolation_check(
@@ -646,10 +683,12 @@ def interpolation_check(
     fam = list(family)
     if not fam:
         raise StructuralError("interpolation check needs a nonempty family")
-    lhs = sup_plus_norm(fam, p, tol, max_iter)
+    lhs, iters_p = _sup_plus(fam, p, tol, max_iter)
     ess = max(lp_norm(x, np.inf) for x in fam)
-    dom_q = sup_plus_norm(fam, q, tol, max_iter)
+    dom_q, iters_q = _sup_plus(fam, q, tol, max_iter)
     theta = q / p
     rhs = ess ** (1.0 - theta) * dom_q**theta
     passed = lhs <= rhs * (1.0 + slack) + 1e-15
-    return InterpolationReport(p, q, lhs, rhs, ess, dom_q, slack, passed, box)
+    return InterpolationReport(
+        p, q, lhs, rhs, ess, dom_q, slack, passed, box, iters_p + iters_q
+    )

@@ -58,7 +58,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.1"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -790,9 +790,10 @@ def _run_maximal(state: _RunState) -> TaskResult:
         cauchy_rtol=cfg.tolerances["cauchy_rtol"],
     )
     state.dominant_iterations += sum(r.iterations for r in rep.rows)
+    state.map_applications += rep.applications
     rows = tuple(
         (r.cutoff, r.family_size, r.norm, r.lower_bound, r.ratio,
-         r.iterations, r.converged, "dominant-descent")
+         r.iterations, r.converged, r.method)
         for r in rep.rows
     )
     table = Table("maximal", _TABLE_COLUMNS["maximal"], rows)
@@ -813,6 +814,8 @@ def _run_maximal(state: _RunState) -> TaskResult:
             slack=cfg.tolerances["interpolation_slack"],
             tol=cfg.tolerances["dominant"],
         )
+        state.map_applications += small.applications
+        state.dominant_iterations += irep.iterations
         summary.update({
             "interpolation_q": irep.q,
             "interpolation_lhs": irep.lhs,
@@ -839,6 +842,7 @@ def _run_certify(state: _RunState) -> TaskResult:
     )
     if not certs:
         raise ConfigError("certify onset ladder is empty inside the box")
+    state.dominant_iterations += sum(c.iterations for c in certs)
     rows = tuple(
         (c.onset, c.epsilon, c.lam, c.trace_complement, c.tail_sup,
          c.dominant_norm, c.tail_size, c.sound, "; ".join(c.flags),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergo.algebra import Algebra, Box, lp_norm, trace
 from ncergo.averages import AverageFamily
@@ -206,3 +208,67 @@ def test_soundness_property_is_consistent():
         trace_complement=cert.trace_complement, tail_size=cert.tail_size,
     )
     assert cert.sound and not clone.sound
+
+
+# ---------------------------------------------------------------------------
+# exact trace complements, the hermiticity gate, and soundness at random
+
+def test_full_projection_reports_exact_zero_complement():
+    # non-diagonal residuals h / n: e = 1, whose blocks V V* are the identity
+    # only up to rounding; tau(1 - e) comes from ranks, so it is exactly 0
+    rng = np.random.default_rng(1)
+    alg = Algebra((4,))
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 4
+    data = np.stack([alg.vec(alg.element([h / n])) for n in range(1, 9)])
+    fam = AverageFamily(alg, Box((1,), (8,)), data, "synthetic")
+    cert = certify_bau(fam, p=2.0, epsilon=0.5)
+    assert np.linalg.matrix_rank(cert.e.element.blocks[0]) == 4
+    assert cert.trace_complement == 0.0
+    assert cert.sound
+    comp = certify_bau_complex(fam, p=2.0, epsilon=0.5)
+    assert comp.trace_complement == 0.0
+
+
+def deviation_family(delta):
+    # member 3 of 4 gets an upper-triangle-only entry delta: its deviation
+    # |x - x*| is exactly delta, its largest entry stays 2.0
+    alg = Algebra((2,))
+    data = np.zeros((4, alg.basis_size), dtype=complex)
+    data[:, 0] = [2.0, 1.0, 0.5, 0.25]
+    data[:, 3] = [0.5, 0.1, 2.0, 0.5]
+    data[2, 1] = delta
+    return AverageFamily(alg, Box((1,), (4,)), data, "synthetic")
+
+
+def test_hermiticity_gate_is_per_member():
+    # the rule: dev_k <= 1e-8 * scale * (1 + max_abs_k), scale = 1 + max_k max_abs_k
+    limit = 1e-8 * 3.0 * (1.0 + 2.0)
+    assert certify_bau(deviation_family(limit * (1 - 1e-6)), p=2.0, epsilon=0.5).sound
+    with pytest.raises(StructuralError, match="certify_bau_complex"):
+        certify_bau(deviation_family(limit * (1 + 1e-6)), p=2.0, epsilon=0.5)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from((((2,), (1.0,)), ((3,), (0.2,)), ((2, 1), (0.5, 0.1)))),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    eps_frac=st.floats(0.01, 0.9),
+)
+def test_returned_certificates_are_sound(shape, n, seed, eps_frac):
+    dims, weights = shape
+    alg = Algebra(dims, weights)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(1, n + 1):
+        x = alg.random_element(rng, kind="hermitian")
+        rows.append(alg.vec(x) / k)
+    fam = AverageFamily(alg, Box((1,), (n,)), np.stack(rows), "synthetic")
+    eps = eps_frac * alg.total_trace()
+    cert = certify_bau(fam, p=2.0, epsilon=eps)
+    assert cert.sound
+    ranks = [np.linalg.matrix_rank(b, tol=1e-6) for b in cert.e.element.blocks]
+    assert cert.trace_complement == sum(
+        w * (d - r) for w, d, r in zip(weights, dims, ranks))
+    assert cert.tail_sup <= cert.lam + 1e-10

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergo._rng import generator
-from ncergo.algebra import Algebra, Element, is_positive, lp_norm, positive_part
+from ncergo.algebra import Algebra, Box, Element, is_positive, lp_norm, positive_part
+from ncergo.averages import AverageFamily
 from ncergo.contraction import convex_combination, identity_map, pinching, scaled_unitary
-from ncergo.errors import StructuralError
+from ncergo.errors import NumericError, StructuralError
 from ncergo.maximal import (
+    ACTIVE_SET_THRESHOLD,
     dominant_element,
     interpolation_check,
     maximal_inequality_report,
@@ -379,3 +383,111 @@ def test_interpolation_validates_exponents():
         interpolation_check([alg.identity()], p=2.0, q=2.0)
     with pytest.raises(ValueError):
         interpolation_check([alg.identity()], p=2.0, q=np.inf)
+
+
+# ---------------------------------------------------------------------------
+# stack input: the same solve as the list input, bit for bit
+
+FAMILY_KINDS = ("diagonal", "commuting", "noncommuting", "active_set")
+SHAPES = (((2,), (1.0,)), ((3,), (0.5,)), ((2, 1), (1.0, 0.25)))
+
+
+def stack_family(kind, seed, dims, n):
+    """Per-block (n, d, d) stacks of Hermitian members of the given kind."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for d in dims:
+        lam = rng.uniform(-1.0, 1.5, size=(n, d))
+        if kind == "diagonal":
+            s = lam[:, :, None] * np.eye(d)
+        elif kind == "commuting":
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            u = np.linalg.qr(g)[0]
+            s = (u[None] * lam[:, None, :]) @ u.conj().T
+        else:
+            g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            s = (g + np.conj(np.swapaxes(g, -1, -2))) / 4
+        stacks.append(np.asarray(s, dtype=complex))
+    return stacks
+
+
+def assert_same_report(a, b):
+    assert all(
+        x.tobytes() == y.tobytes()
+        for x, y in zip(a.dominant.blocks, b.dominant.blocks)
+    )
+    assert (a.norm, a.lower_bound, a.iterations, a.method) == (
+        b.norm, b.lower_bound, b.iterations, b.method)
+    assert (a.feasibility_margin, a.converged) == (
+        b.feasibility_margin, b.converged)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+    data=st.data(),
+)
+def test_stack_input_matches_list_input(kind, shape, seed, p, data):
+    dims, weights = shape
+    if kind == "active_set":
+        n = data.draw(st.integers(ACTIVE_SET_THRESHOLD + 1, 60), label="n")
+    elif kind == "noncommuting":
+        n = data.draw(st.integers(2, 6), label="n")
+    else:
+        n = data.draw(st.integers(2, ACTIVE_SET_THRESHOLD + 12), label="n")
+    alg = Algebra(dims, weights)
+    stacks = stack_family(kind, seed, dims, n)
+    # an AverageFamily hands out strided read-only views, as the ladder uses
+    fam = AverageFamily(
+        alg, Box.full((n,)),
+        np.concatenate([s.reshape(n, -1) for s in stacks], axis=1), "synthetic",
+    )
+    from_list = dominant_element(fam.elements(), p)
+    from_stacks = dominant_element(fam.block_stacks(), p, algebra=alg)
+    assert_same_report(from_list, from_stacks)
+    if kind in ("diagonal", "commuting"):
+        assert from_stacks.method == "commuting_exact"
+    else:
+        assert from_stacks.method == "projected_descent"
+
+
+def test_stack_input_single_and_infinity_routes():
+    alg = Algebra((2, 1), (1.0, 0.5))
+    for kind, n in (("noncommuting", 1), ("noncommuting", 5)):
+        stacks = stack_family(kind, 11, alg.block_dims, n)
+        members = [alg.element([s[k] for s in stacks]) for k in range(n)]
+        for p in (2.0, np.inf):
+            assert_same_report(
+                dominant_element(members, p),
+                dominant_element(stacks, p, algebra=alg),
+            )
+
+
+def test_stack_input_validation():
+    alg = Algebra((2,))
+    good = stack_family("noncommuting", 3, (2,), 4)
+    with pytest.raises(StructuralError, match="nonempty"):
+        dominant_element([np.zeros((0, 2, 2), dtype=complex)], 2.0, algebra=alg)
+    with pytest.raises(StructuralError):
+        dominant_element(good + good, 2.0, algebra=alg)  # one stack per block
+    with pytest.raises(StructuralError):
+        dominant_element([good[0][:, :1, :1]], 2.0, algebra=alg)
+    skew = good[0].copy()
+    skew[2, 0, 1] += 1e-3
+    with pytest.raises(StructuralError, match="Hermitian"):
+        dominant_element([skew], 2.0, algebra=alg)
+    bad = good[0].copy()
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(NumericError):
+        dominant_element([bad], 2.0, algebra=alg)
+
+
+def test_ladder_rows_carry_the_solve_method():
+    alg = Algebra((2,))
+    x = alg.element([np.diag([0.7, 0.2]).astype(complex)])
+    rep = maximal_inequality_report([identity_map(alg)] * 2, x, 2.0, [2, 4])
+    assert [r.method for r in rep.rows] == ["commuting_exact"] * 2
+    assert rep.applications == (2 + 2 * 2) + (4 + 4 * 4)

@@ -291,3 +291,56 @@ def test_cli_certify_override(tmp_path, capsys):
     rows = certify.tables[0].rows
     assert [r[0] for r in rows] == [1, 2]
     assert all(r[1] == pytest.approx(0.02) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# operation counts
+
+def test_operation_counts_cover_every_solve_and_grid(monkeypatch):
+    import sys
+
+    from ncergo import averages, maximal
+
+    totals = {"iterations": 0, "solves": 0, "applications": 0}
+
+    def counted_dominant(*args, **kwargs):
+        rep = dominant_element(*args, **kwargs)
+        totals["iterations"] += rep.iterations
+        totals["solves"] += 1
+        return rep
+
+    def counted_grid(*args, **kwargs):
+        fam = weighted_average_grid(*args, **kwargs)
+        totals["applications"] += fam.applications
+        return fam
+
+    dominant_element = maximal.dominant_element
+    weighted_average_grid = averages.weighted_average_grid
+    # rebind the name in every module that imported it, certify's solver too
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "ncergo":
+            continue
+        for key, val in list(vars(mod).items()):
+            if val is dominant_element:
+                monkeypatch.setattr(mod, key, counted_dominant)
+            elif val is weighted_average_grid:
+                monkeypatch.setattr(mod, key, counted_grid)
+
+    data = json.loads((REFERENCE.parent / "rate_d2.json").read_text())
+    data.update({
+        "box": [8, 8],
+        "cutoffs": [2, 4],
+        "tasks": ["verify", "besicovitch", "average", "maximal", "certify"],
+        "certify": {"epsilon": 0.01, "onsets": [1, 2, 4, 8]},
+        "besicovitch": {"epsilon": 0.05, "cutoff": [8, 8]},
+        "interpolation": {"q": 1.5, "cutoff": 3},
+    })
+    report = run_scenario(scenario_from_dict(data, base_dir=REFERENCE.parent))
+    assert all(t.status == "ok" for t in report.tasks)
+    # ladder, interpolation (two solves) and 2 per certificate
+    assert totals["solves"] == 2 + 2 + 2 * 4
+    assert totals["iterations"] > 0
+    assert report.operation_counts == {
+        "map_applications": totals["applications"],
+        "dominant_iterations": totals["iterations"],
+    }

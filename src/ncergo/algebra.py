@@ -345,6 +345,38 @@ def stack_hermitian_deviation(
     return dev, mag
 
 
+def stack_trace(alg: Algebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-member weighted trace over (n, d_b, d_b) stacks.
+
+    Member k's value equals trace() of the element whose blocks are
+    stacks[b][k], bit for bit: blocks are added in block order from 0.
+    """
+    total = 0
+    for w, s in zip(alg.trace_weights, stacks):
+        total = total + w * np.trace(s, axis1=1, axis2=2)
+    return total
+
+
+def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """Per-member weighted Schatten-type norm over (n, d_b, d_b) stacks.
+
+    One batched singular-value solve per block; p = inf gives the operator
+    norm. The final root is a Python float power per member, since numpy's
+    vectorized power can differ from libm pow in the last bit.
+    """
+    if p != np.inf:
+        p = float(p)
+        if not np.isfinite(p) or p < 1:
+            raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
+    svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
+    if p == np.inf:
+        return np.maximum.reduce([s[:, 0] for s in svals])
+    total = 0
+    for w, s in zip(alg.trace_weights, svals):
+        total = total + w * np.sum(s**p, axis=-1)
+    return np.array([t ** (1.0 / p) for t in total.tolist()], dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class Projection:
     """Element verified to be an orthogonal projection.
@@ -387,11 +419,13 @@ class Projection:
 # ---------------------------------------------------------------------------
 # trace, norms, spectral operations
 
+def _member_stacks(x: Element) -> list[np.ndarray]:
+    return [b[None] for b in x.blocks]
+
+
 def trace(x: Element) -> complex:
     """Weighted trace; real up to rounding when x is Hermitian."""
-    return complex(
-        sum(w * np.trace(b) for w, b in zip(x.algebra.trace_weights, x.blocks))
-    )
+    return complex(stack_trace(x.algebra, _member_stacks(x))[0])
 
 
 def modulus(x: Element) -> Element:
@@ -403,24 +437,9 @@ def modulus(x: Element) -> Element:
     return Element(x.algebra, out, True)
 
 
-def singular_values(x: Element) -> list[np.ndarray]:
-    """Eigenvalues of the modulus, one descending array per block."""
-    return [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
-
-
 def lp_norm(x: Element, p: float) -> float:
     """Weighted Schatten-type norm; p = inf gives the operator norm."""
-    if p != np.inf:
-        p = float(p)
-        if not np.isfinite(p) or p < 1:
-            raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
-    svals = singular_values(x)
-    if p == np.inf:
-        return max(float(s[0]) if s.size else 0.0 for s in svals)
-    total = sum(
-        w * float(np.sum(s**p)) for w, s in zip(x.algebra.trace_weights, svals)
-    )
-    return float(total ** (1.0 / p))
+    return float(stack_lp_norm(x.algebra, _member_stacks(x), p)[0])
 
 
 def hermitian_eig(x: Element) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -39,6 +39,7 @@ from .contraction import LinearOperator
 from .errors import BudgetError, NumericError, StructuralError
 
 FEAS_TOL = 1e-12
+BRACKET_RTOL = 1e-12  # relative excess of the dual bound taken as rounding
 ACTIVE_SET_THRESHOLD = 48
 
 
@@ -431,9 +432,17 @@ def dominant_element(
 
     def finish(a_el: Element, norm, lower, iters, converged, method):
         margin = float(np.min(_margins_full([b for b in a_el.blocks], stacks)))
+        norm, lower = float(norm), float(lower)
+        if lower > norm:
+            # the dual bound can pass the primal norm only by rounding
+            if lower - norm > BRACKET_RTOL * norm:
+                raise NumericError(
+                    f"{method}: dual lower bound {lower!r} exceeds the verified "
+                    f"norm {norm!r} by more than rounding"
+                )
+            lower = norm
         return DominantReport(
-            a_el, p, float(norm), float(min(lower, norm)), int(iters),
-            margin, bool(converged), method,
+            a_el, p, norm, lower, int(iters), margin, bool(converged), method,
         )
 
     if p == np.inf:
@@ -579,6 +588,36 @@ class MaximalLadderReport:
     truncated: bool
     applications: int  # map applications of the ladder's family grids
 
+    def decrease_notes(self) -> tuple[str, ...]:
+        """One note per pair of consecutive rungs whose ratio decreased.
+
+        The later family contains the earlier one, so its true dominant norm
+        is at least the earlier one's. If the later verified norm still
+        reaches the earlier lower bound, the brackets agree and the earlier
+        upper bound is loose; otherwise the brackets contradict each other.
+        """
+        notes = []
+        for a, b in zip(self.rows, self.rows[1:]):
+            if not _ratio_decreased(a, b):
+                continue
+            gap = (a.norm - a.lower_bound) / max(a.lower_bound, 1e-30)
+            verdict = (
+                f"inside, so its upper bound is loose (gap {gap:.2%})"
+                if b.norm >= a.lower_bound else
+                "below it, so the brackets contradict each other"
+            )
+            notes.append(
+                f"cutoff {a.cutoff} -> {b.cutoff}: ratio {a.ratio:.10g} -> "
+                f"{b.ratio:.10g}; the norm {b.norm:.10g} at cutoff {b.cutoff} "
+                f"against cutoff {a.cutoff}'s bracket "
+                f"[{a.lower_bound:.10g}, {a.norm:.10g}] is {verdict}"
+            )
+        return tuple(notes)
+
+
+def _ratio_decreased(a: LadderRow, b: LadderRow) -> bool:
+    return not b.ratio >= a.ratio - 1e-10
+
 
 def maximal_inequality_report(
     maps: Sequence[LinearOperator],
@@ -633,7 +672,7 @@ def maximal_inequality_report(
             )
         )
     ratios = [r.ratio for r in rows]
-    nondecr = all(b >= a - 1e-10 for a, b in zip(ratios, ratios[1:]))
+    nondecr = not any(_ratio_decreased(a, b) for a, b in zip(rows, rows[1:]))
     if len(ratios) >= 2 and ratios[-2] > 0:
         cauchy_gap = abs(ratios[-1] - ratios[-2]) / ratios[-2]
         cauchy_ok = cauchy_gap < cauchy_rtol

@@ -32,7 +32,8 @@ from .algebra import (
     element_to_text,
     format_float,
     lp_norm,
-    trace,
+    stack_lp_norm,
+    stack_trace,
 )
 from .averages import ergodic_average_family, limit_oracle, weighted_average_grid
 from .bau import onset_ladder
@@ -43,7 +44,13 @@ from .contraction import (
     convex_combination,
     verify_absolute_contraction,
 )
-from .errors import ConfigError, IntegrityError, NcError, UnsupportedError
+from .errors import (
+    ConfigError,
+    IntegrityError,
+    NcError,
+    NumericError,
+    UnsupportedError,
+)
 from .maximal import interpolation_check, maximal_inequality_report
 from .weights import (
     BesicovitchWeight,
@@ -651,7 +658,7 @@ class _RunState:
         self.maps: list[AbsoluteContraction] | None = None
         self.x: Element | None = None
         self.family = None
-        self.limit = None
+        self.shifted = None  # family minus its limit, for trig weights
         self.map_applications = 0
         self.dominant_iterations = 0
 
@@ -756,18 +763,23 @@ def _run_average(state: _RunState) -> TaskResult:
     limit = None
     if isinstance(cfg.weight, TrigPolynomial):
         limit = limit_oracle(cfg.weight, maps, x)
-        state.limit = limit
-    rows = []
-    for n, el in fam.items():
-        tr = trace(el)
-        residual = (
-            lp_norm(el - limit.value, 2.0) if limit is not None else None
+    if not np.all(np.isfinite(fam.raw().view(np.float64))):
+        raise NumericError("non-finite entries in element block")
+    alg, stacks = fam.algebra, fam.block_stacks()
+    tr = stack_trace(alg, stacks)
+    norms = stack_lp_norm(alg, stacks, cfg.p).tolist()
+    if limit is None:
+        residuals = [None] * len(norms)
+    else:
+        state.shifted = fam.minus_constant(limit.value)
+        residuals = stack_lp_norm(alg, state.shifted.block_stacks(), 2.0).tolist()
+    rows = tuple(
+        (_index_str(n), "grid", re, im, norm, residual)
+        for n, re, im, norm, residual in zip(
+            fam.box.indices(), tr.real.tolist(), tr.imag.tolist(), norms, residuals
         )
-        rows.append((
-            _index_str(n), "grid", float(tr.real), float(tr.imag),
-            lp_norm(el, cfg.p), residual,
-        ))
-    table = Table("averages", _TABLE_COLUMNS["averages"], tuple(rows))
+    )
+    table = Table("averages", _TABLE_COLUMNS["averages"], rows)
     summary = {
         "box_lower": list(cfg.box.lower),
         "box_upper": list(cfg.box.upper),
@@ -823,7 +835,9 @@ def _run_maximal(state: _RunState) -> TaskResult:
             "interpolation_passed": irep.passed,
         })
     status = "ok" if rep.nondecreasing else "failed"
-    error = None if rep.nondecreasing else "ratio ladder decreased"
+    error = None if rep.nondecreasing else (
+        "ratio ladder decreased: " + "; ".join(rep.decrease_notes())
+    )
     return TaskResult("maximal", status, error, (table,), summary)
 
 
@@ -831,13 +845,12 @@ def _run_certify(state: _RunState) -> TaskResult:
     cfg = state.config
     if state.family is None:
         raise IntegrityError("certify requires the average task's family")
-    if state.limit is None:
+    if state.shifted is None:
         raise UnsupportedError(
             "certification needs a trig-polynomial weight with a computed limit"
         )
-    shifted = state.family.minus_constant(state.limit.value)
     certs = onset_ladder(
-        shifted, cfg.p, cfg.certify_epsilon, cfg.certify_onsets,
+        state.shifted, cfg.p, cfg.certify_epsilon, cfg.certify_onsets,
         tol=cfg.tolerances["dominant"], complex_split=True,
     )
     if not certs:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergo._rng import generator
 from ncergo.algebra import (
@@ -19,6 +21,8 @@ from ncergo.algebra import (
     negative_part,
     positive_part,
     spectral_projection,
+    stack_lp_norm,
+    stack_trace,
     trace,
     volume,
 )
@@ -115,6 +119,8 @@ def test_lp_norm_bad_exponent():
         lp_norm(alg.identity(), 0.5)
     with pytest.raises(ValueError):
         lp_norm(alg.identity(), np.nan)
+    with pytest.raises(ValueError):
+        stack_lp_norm(alg, [np.zeros((3, 2, 2), dtype=complex)], -np.inf)
 
 
 def test_modulus_matches_sqrt():
@@ -186,6 +192,56 @@ def test_eigenvalues_weighted():
     pairs = eigenvalues_weighted(x)
     assert sorted(v for v, _ in pairs) == pytest.approx([1.0, 2.0, 3.0, 4.0])
     assert sorted(w for _, w in pairs) == pytest.approx([0.25, 0.25, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# stack helpers against the per-element formulas
+
+def reference_trace(alg, blocks):
+    return complex(sum(w * np.trace(b) for w, b in zip(alg.trace_weights, blocks)))
+
+
+def reference_lp_norm(alg, blocks, p):
+    svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    if p == np.inf:
+        return max(float(s[0]) for s in svals)
+    total = sum(w * float(np.sum(s**p)) for w, s in zip(alg.trace_weights, svals))
+    return float(total ** (1.0 / p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    data=st.data(),
+    n=st.integers(1, 20),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0, np.inf)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p, seed):
+    weights = data.draw(st.lists(
+        st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
+        min_size=len(dims), max_size=len(dims)), label="weights")
+    alg = Algebra(dims, weights)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 6, size=n)[:, None, None]
+    stacks = []
+    for d in dims:
+        s = scale * (rng.standard_normal((n, d, d))
+                     + 1j * rng.standard_normal((n, d, d)))
+        s[rng.random(n) < 0.2] = -0.0  # all-zero members, with signed zeros
+        stacks.append(s)
+    traces = stack_trace(alg, stacks)
+    norms = stack_lp_norm(alg, stacks, p)
+    assert traces.shape == norms.shape == (n,)
+    for k in range(n):
+        blocks = [s[k] for s in stacks]
+        ref_tr = reference_trace(alg, blocks)
+        got_tr = complex(traces[k])
+        assert got_tr.real.hex() == ref_tr.real.hex()
+        assert got_tr.imag.hex() == ref_tr.imag.hex()
+        assert float(norms[k]).hex() == reference_lp_norm(alg, blocks, p).hex()
+        x = alg.element(blocks)
+        assert trace(x) == ref_tr and lp_norm(x, p) == float(norms[k])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Least dominant elements: exact paths, a search oracle, and ladders."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from ncergo.contraction import convex_combination, identity_map, pinching, scale
 from ncergo.errors import NumericError, StructuralError
 from ncergo.maximal import (
     ACTIVE_SET_THRESHOLD,
+    LadderRow,
+    MaximalLadderReport,
     dominant_element,
     interpolation_check,
     maximal_inequality_report,
@@ -491,3 +496,60 @@ def test_ladder_rows_carry_the_solve_method():
     rep = maximal_inequality_report([identity_map(alg)] * 2, x, 2.0, [2, 4])
     assert [r.method for r in rep.rows] == ["commuting_exact"] * 2
     assert rep.applications == (2 + 2 * 2) + (4 + 4 * 4)
+
+
+# ---------------------------------------------------------------------------
+# bracket and ladder diagnostics
+
+def test_dual_bound_above_norm_raises_beyond_rounding(monkeypatch):
+    from ncergo import maximal
+
+    alg = Algebra((3,))
+    fam = random_family(alg, generator(41, "bracket"), 4)
+    rep = dominant_element(fam, 2.0)
+    assert rep.method == "projected_descent"
+    # an excess within rounding is clamped onto the norm
+    monkeypatch.setattr(maximal, "_dual_lower_bound",
+                        lambda *args: rep.norm * (1 + 1e-13))
+    assert dominant_element(fam, 2.0).lower_bound == rep.norm
+    monkeypatch.setattr(maximal, "_dual_lower_bound", lambda *args: 1.01 * rep.norm)
+    with pytest.raises(NumericError, match="projected_descent.*exceeds"):
+        dominant_element(fam, 2.0)
+
+
+def test_ladder_decrease_names_cutoffs_and_brackets():
+    from ncergo.scenario import run_scenario, scenario_from_dict
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    data = json.loads((configs / "rate_d2.json").read_text())
+    data.update(seed=10, cutoffs=[4, 8])
+    report = run_scenario(scenario_from_dict(data, base_dir=configs), ["maximal"])
+    maximal = {t.name: t for t in report.tasks}["maximal"]
+    assert maximal.status == "failed"
+    assert maximal.summary["nondecreasing"] is False
+    rows = maximal.tables[0].rows
+    (c4, _, norm4, lower4, ratio4, *_), (c8, _, norm8, _, ratio8, *_) = rows
+    assert (c4, c8) == (4, 8) and ratio8 < ratio4
+    assert lower4 <= norm8 < norm4  # the brackets agree: cutoff 4's is loose
+    assert maximal.error == (
+        "ratio ladder decreased: cutoff 4 -> 8: ratio 0.745477721 -> "
+        "0.7427170954; the norm 2.330137977 at cutoff 8 against cutoff 4's "
+        "bracket [2.300566709, 2.338798931] is inside, so its upper bound is "
+        "loose (gap 1.66%)"
+    )
+
+
+def test_decrease_notes_tell_loose_from_contradictory_brackets():
+    def row(cutoff, norm, lower):
+        return LadderRow(cutoff, cutoff, norm, lower, norm / 2.0, 1, True,
+                         "projected_descent")
+
+    rows = (row(2, 1.0, 0.9), row(4, 1.2, 1.1), row(8, 1.15, 1.0),
+            row(16, 0.95, 0.9))
+    rep = MaximalLadderReport(2.0, rows, False, None, False, False, 0)
+    notes = rep.decrease_notes()
+    assert len(notes) == 2
+    assert notes[0].startswith("cutoff 4 -> 8:")
+    assert notes[0].endswith("is inside, so its upper bound is loose (gap 9.09%)")
+    assert notes[1].startswith("cutoff 8 -> 16:")
+    assert "[1, 1.15] is below it, so the brackets contradict" in notes[1]

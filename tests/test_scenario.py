@@ -225,6 +225,109 @@ def test_budget_truncation_reported():
 
 
 # ---------------------------------------------------------------------------
+# the averages table against per-element formulas
+
+def two_block_config(trig=True):
+    weight = {
+        "terms": [
+            {"coefficient": 0.5, "phases_over_2pi": [0.0, 0.0]},
+            {"coefficient": 0.3, "phases_over_2pi": [0.25, 0.1]},
+        ]
+    }
+    if not trig:
+        weight["perturbation"] = {"kind": "inverse_min", "amplitude": 0.2,
+                                  "exponent": 1.0}
+    return small_config(
+        algebra={"block_dims": [2, 3], "trace_weights": [0.5, 2.0]},
+        contractions=[
+            {"kind": "pinching", "diagonal_partition": [[0], [1], [2, 3], [4]]},
+            {
+                "kind": "scaled_unitary",
+                "scale": 1.0,
+                "unitary": {"blocks": [[[0, 1], [1, 0]],
+                                       [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]},
+            },
+        ],
+        weight=weight,
+        element={"mode": "random_general"},
+        p=3.0,
+        box={"lower": [2, 1], "upper": [6, 5]},
+    )
+
+
+def reference_average_rows(cfg):
+    """Rows as computed one element at a time, with the per-element formulas."""
+    from ncergo.averages import limit_oracle, weighted_average_grid
+    from ncergo.scenario import TrigPolynomial, _RunState
+
+    def tr(el):
+        return complex(sum(w * np.trace(b)
+                           for w, b in zip(el.algebra.trace_weights, el.blocks)))
+
+    def norm(el, p):
+        svals = [np.linalg.svd(b, compute_uv=False) for b in el.blocks]
+        total = sum(w * float(np.sum(s**p))
+                    for w, s in zip(el.algebra.trace_weights, svals))
+        return float(total ** (1.0 / p))
+
+    state = _RunState(cfg, cfg.budget)
+    maps, x = state.get_maps(), state.get_element()
+    fam = weighted_average_grid(cfg.weight, maps, x, cfg.box)
+    limit = None
+    if isinstance(cfg.weight, TrigPolynomial):
+        limit = limit_oracle(cfg.weight, maps, x).value
+    rows = []
+    for n in cfg.box.indices():
+        el = fam.value(n)
+        t = tr(el)
+        rows.append((
+            "(" + ",".join(str(c) for c in n) + ")", "grid", float(t.real),
+            float(t.imag), norm(el, cfg.p),
+            None if limit is None else norm(el - limit, 2.0),
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("trig", [True, False])
+def test_averages_table_matches_element_formulas(trig):
+    cfg = scenario_from_dict(two_block_config(trig))
+    rep = run_scenario(cfg, tasks=["average"])
+    average = {t.name: t for t in rep.tasks}["average"]
+    assert average.status == "ok"
+    rows = list(average.tables[0].rows)
+    ref = reference_average_rows(cfg)
+    assert len(rows) == cfg.box.size == 25
+    assert rows[0][0] == "(2,1)" and rows[-1][0] == "(6,5)"
+    assert all(r[3] != 0.0 for r in ref)  # imaginary traces are exercised
+    assert all((r[5] is None) != trig for r in ref)
+    # repr round-trips floats exactly, so this is a bitwise comparison
+    assert [repr(r) for r in rows] == [repr(r) for r in ref]
+
+
+def test_non_finite_family_fails_average(monkeypatch):
+    from ncergo import scenario
+    from ncergo.averages import AverageFamily
+
+    real_grid = scenario.weighted_average_grid
+
+    def poisoned_grid(*args, **kwargs):
+        fam = real_grid(*args, **kwargs)
+        data = fam.raw().copy()
+        data[1, 2, 3] = complex(np.inf, 0.0)
+        return AverageFamily(fam.algebra, fam.box, data, fam.provenance,
+                             fam.applications)
+
+    monkeypatch.setattr(scenario, "weighted_average_grid", poisoned_grid)
+    cfg = scenario_from_dict(small_config())
+    rep = run_scenario(cfg, tasks=["certify"])
+    by_name = {t.name: t for t in rep.tasks}
+    assert by_name["average"].status == "failed"
+    assert by_name["average"].error == (
+        "NumericError: non-finite entries in element block")
+    assert by_name["certify"].status == "skipped"
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 def write_config(tmp_path, data):

@@ -33,41 +33,13 @@ KIND_TOL = 1e-10
 
 
 class LinearOperator:
-    """Base for linear maps on one algebra; subclasses define apply()."""
+    """Linear map on one algebra, held as its transfer matrix.
 
-    def __init__(self, algebra: Algebra, notes: tuple[str, ...] = ()):
-        self.algebra = algebra
-        self.notes = tuple(notes)
-        self._transfer: np.ndarray | None = None
-
-    def apply(self, x: Element) -> Element:
-        raise NotImplementedError
-
-    def transfer_matrix(self) -> np.ndarray:
-        """Matrix acting on vectorized elements; built once and cached."""
-        if self._transfer is None:
-            alg = self.algebra
-            dim = alg.basis_size
-            cols = np.empty((dim, dim), dtype=np.complex128)
-            col = 0
-            for b, d in enumerate(alg.block_dims):
-                for i in range(d):
-                    for j in range(d):
-                        y = self.apply(alg.basis_element(b, i, j))
-                        cols[:, col] = alg.vec(y)
-                        col += 1
-            self._transfer = cols
-        return self._transfer
-
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.transfer_matrix() @ v
-
-
-class MatrixOperator(LinearOperator):
-    """Raw linear map given by an explicit transfer matrix."""
+    The matrix acts on `Algebra.vec` coordinates (column k is the image of
+    the k-th basis element); it is copied and made read-only here.
+    """
 
     def __init__(self, algebra: Algebra, matrix: np.ndarray, notes: tuple[str, ...] = ()):
-        super().__init__(algebra, notes)
         m = np.array(matrix, dtype=np.complex128, copy=True)
         dim = algebra.basis_size
         if m.shape != (dim, dim):
@@ -75,70 +47,39 @@ class MatrixOperator(LinearOperator):
                 f"transfer matrix shape {m.shape} does not match basis size {dim}"
             )
         m.setflags(write=False)
+        self.algebra = algebra
+        self.notes = tuple(notes)
         self._transfer = m
 
-    def apply(self, x: Element) -> Element:
-        return self.algebra.unvec(self._transfer @ self.algebra.vec(x))
-
-
-def operator_from_function(algebra: Algebra, fn: Callable[[Element], Element],
-                           notes: tuple[str, ...] = ()) -> MatrixOperator:
-    """Materialize a raw map from a python callable (positivity unverified)."""
-
-    class _Probe(LinearOperator):
-        def apply(self, x):
-            return fn(x)
-
-    probe = _Probe(algebra)
-    return MatrixOperator(algebra, probe.transfer_matrix(),
-                          notes + ("positivity unverified",))
-
-
-class AbsoluteContraction(LinearOperator):
-    """Kind-tagged contraction with a structural apply()."""
-
-    def __init__(self, algebra: Algebra, kind: str, params: dict,
-                 notes: tuple[str, ...] = ()):
-        super().__init__(algebra, notes)
-        self.kind = kind
-        self.params = params
+    def transfer_matrix(self) -> np.ndarray:
+        return self._transfer
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise StructuralError("element algebra does not match the map's algebra")
-        p = self.params
-        if self.kind == "scaled_unitary":
-            s, u = p["scale"], p["unitary"]
-            blocks = [
-                s * (ub.conj().T @ xb @ ub) for ub, xb in zip(u.blocks, x.blocks)
-            ]
-            return Element(self.algebra, blocks, x.hermitian_hint)
-        if self.kind == "pinching":
-            acc = self.algebra.zero()
-            for proj in p["projections"]:
-                e = proj.element
-                acc = acc + (e @ x @ e)
-            return acc
-        if self.kind == "schur_multiplier":
-            h = p["coefficients"]
-            return Element(self.algebra, [h * x.blocks[0]])
-        if self.kind == "kraus":
-            blocks = [np.zeros_like(b) for b in x.blocks]
-            for k in p["operators"]:
-                for i, (kb, xb) in enumerate(zip(k.blocks, x.blocks)):
-                    blocks[i] = blocks[i] + kb.conj().T @ xb @ kb
-            return Element(self.algebra, blocks, x.hermitian_hint)
-        if self.kind == "convex_combination":
-            acc = self.algebra.zero()
-            for lam, sub in p["terms"]:
-                acc = acc + lam * sub.apply(x)
-            return acc
-        if self.kind == "composition":
-            y = x
-            for sub in p["maps"]:
-                y = sub.apply(y)
-            return y
-        raise UnsupportedError(f"unknown contraction kind {self.kind!r}")
+        return self.algebra.unvec(self._transfer @ self.algebra.vec(x))
+
+
+def operator_from_function(algebra: Algebra, fn: Callable[[Element], Element],
+                           notes: tuple[str, ...] = ()) -> LinearOperator:
+    """Materialize a raw map from a python callable (positivity unverified)."""
+    cols = [
+        algebra.vec(fn(algebra.basis_element(b, i, j)))
+        for b, d in enumerate(algebra.block_dims)
+        for i in range(d)
+        for j in range(d)
+    ]
+    return LinearOperator(algebra, np.column_stack(cols),
+                          notes + ("positivity unverified",))
+
+
+class AbsoluteContraction(LinearOperator):
+    """Transfer matrix of a constructed contraction; `kind` is a label."""
+
+    def __init__(self, algebra: Algebra, kind: str, matrix: np.ndarray,
+                 notes: tuple[str, ...] = ()):
+        super().__init__(algebra, matrix, notes)
+        self.kind = kind
 
     def __repr__(self) -> str:
         return f"AbsoluteContraction(kind={self.kind!r}, dims={self.algebra.block_dims})"
@@ -159,6 +100,25 @@ def _as_element(algebra: Algebra, obj) -> Element:
     return el
 
 
+def _conjugation_matrix(algebra: Algebra, pairs) -> np.ndarray:
+    """Transfer matrix of x -> sum_j A_j x B_j, given (A_j, B_j) block lists.
+
+    Each block's columns come from one batched product over that block's
+    stacked basis, added term by term from zero; this equals conjugating the
+    basis elements one at a time bit for bit (a Kronecker product does not).
+    """
+    m = np.zeros((algebra.basis_size,) * 2, dtype=np.complex128)
+    off = 0
+    for b, d in enumerate(algebra.block_dims):
+        basis = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+        acc = np.zeros_like(basis)
+        for left, right in pairs:
+            acc = acc + left[b] @ basis @ right[b]
+        m[off:off + d * d, off:off + d * d] = acc.reshape(d * d, d * d).T
+        off += d * d
+    return m
+
+
 def scaled_unitary(algebra: Algebra, unitary, scale: float = 1.0) -> AbsoluteContraction:
     """x -> scale * U* x U with U unitary and 0 < scale <= 1."""
     u = _as_element(algebra, unitary)
@@ -169,7 +129,9 @@ def scaled_unitary(algebra: Algebra, unitary, scale: float = 1.0) -> AbsoluteCon
         dev = float(np.abs(b.conj().T @ b - np.eye(b.shape[0])).max())
         if dev > UNITARY_TOL:
             raise StructuralError(f"unitarity violated by {dev:.3e}")
-    return AbsoluteContraction(algebra, "scaled_unitary", {"scale": s, "unitary": u})
+    adj = [b.conj().T for b in u.blocks]
+    m = s * _conjugation_matrix(algebra, [(adj, u.blocks)])
+    return AbsoluteContraction(algebra, "scaled_unitary", m)
 
 
 def pinching(projections: Sequence[Projection | Element]) -> AbsoluteContraction:
@@ -187,7 +149,8 @@ def pinching(projections: Sequence[Projection | Element]) -> AbsoluteContraction
     low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in gap.blocks)
     if low < -KIND_TOL:
         raise StructuralError(f"projection sum exceeds the identity by {-low:.3e}")
-    return AbsoluteContraction(algebra, "pinching", {"projections": tuple(projs)})
+    m = _conjugation_matrix(algebra, [(p.element.blocks, p.element.blocks) for p in projs])
+    return AbsoluteContraction(algebra, "pinching", m)
 
 
 def schur_multiplier(algebra: Algebra, coefficients: np.ndarray) -> AbsoluteContraction:
@@ -206,8 +169,7 @@ def schur_multiplier(algebra: Algebra, coefficients: np.ndarray) -> AbsoluteCont
     diag_excess = float(np.max(np.real(np.diag(h)))) - 1.0
     if diag_excess > KIND_TOL:
         raise StructuralError(f"diagonal entries exceed 1 by {diag_excess:.3e}")
-    h.setflags(write=False)
-    return AbsoluteContraction(algebra, "schur_multiplier", {"coefficients": h})
+    return AbsoluteContraction(algebra, "schur_multiplier", np.diag(h.reshape(-1)))
 
 
 def kraus(algebra: Algebra, operators: Sequence) -> AbsoluteContraction:
@@ -235,7 +197,8 @@ def kraus(algebra: Algebra, operators: Sequence) -> AbsoluteContraction:
             raise StructuralError(
                 f"{sums} has max eigenvalue {top:.6g} > 1: fails the {label} condition"
             )
-    return AbsoluteContraction(algebra, "kraus", {"operators": tuple(ops)})
+    pairs = [([b.conj().T for b in k.blocks], k.blocks) for k in ops]
+    return AbsoluteContraction(algebra, "kraus", _conjugation_matrix(algebra, pairs))
 
 
 def convex_combination(terms: Sequence[tuple[float, AbsoluteContraction]]) -> AbsoluteContraction:
@@ -248,8 +211,10 @@ def convex_combination(terms: Sequence[tuple[float, AbsoluteContraction]]) -> Ab
     algebra = terms[0][1].algebra
     if any(t.algebra != algebra for _, t in terms):
         raise StructuralError("combined maps live in different algebras")
-    packed = tuple((float(w), t) for w, t in terms)
-    return AbsoluteContraction(algebra, "convex_combination", {"terms": packed})
+    m = np.zeros((algebra.basis_size,) * 2, dtype=np.complex128)
+    for w, (_, t) in zip(weights, terms):
+        m = m + w * t.transfer_matrix()
+    return AbsoluteContraction(algebra, "convex_combination", m)
 
 
 def composition(maps: Sequence[AbsoluteContraction]) -> AbsoluteContraction:
@@ -259,7 +224,10 @@ def composition(maps: Sequence[AbsoluteContraction]) -> AbsoluteContraction:
     algebra = maps[0].algebra
     if any(m.algebra != algebra for m in maps):
         raise StructuralError("composed maps live in different algebras")
-    return AbsoluteContraction(algebra, "composition", {"maps": tuple(maps)})
+    m = maps[0].transfer_matrix()
+    for t in maps[1:]:
+        m = t.transfer_matrix() @ m
+    return AbsoluteContraction(algebra, "composition", m)
 
 
 def identity_map(algebra: Algebra) -> AbsoluteContraction:
@@ -381,23 +349,15 @@ def choi_matrix(op: LinearOperator) -> np.ndarray:
     """
     alg = op.algebra
     n = alg.total_dim
-    choi = np.zeros((n * n, n * n), dtype=np.complex128)
-    offset = 0
-    for b, d in enumerate(alg.block_dims):
-        for i in range(d):
-            for j in range(d):
-                out = op.apply(alg.basis_element(b, i, j))
-                gi, gj = offset + i, offset + j
-                # embed the block-diagonal output into the n x n picture
-                row_off = 0
-                for blk in out.blocks:
-                    db = blk.shape[0]
-                    rows = gi * n + row_off
-                    cols = gj * n + row_off
-                    choi[rows:rows + db, cols:cols + db] += blk
-                    row_off += db
-        offset += d
-    return choi
+    # global (row, col) in the n x n picture of each vec coordinate
+    rows, cols = np.concatenate([
+        off + np.indices((d, d)).reshape(2, -1)
+        for off, d in zip(np.cumsum((0,) + alg.block_dims[:-1]), alg.block_dims)
+    ], axis=1)
+    # entry (i n + r, j n + c) is the (r, c) coordinate of T(e_ij)
+    choi = np.zeros((n, n, n, n), dtype=np.complex128)
+    choi[rows[None, :], rows[:, None], cols[None, :], cols[:, None]] = op.transfer_matrix()
+    return choi.reshape(n * n, n * n)
 
 
 def verify_absolute_contraction(op: LinearOperator, tol: float = 1e-10) -> VerificationReport:
@@ -419,8 +379,7 @@ def verify_absolute_contraction(op: LinearOperator, tol: float = 1e-10) -> Verif
         )
 
     sub = min_eig(one - op.apply(one))
-    adj = MatrixOperator(alg, trace_adjoint_matrix(op))
-    tr = min_eig(one - adj.apply(one))
+    tr = min_eig(one - LinearOperator(alg, trace_adjoint_matrix(op)).apply(one))
     choi = choi_matrix(op)
     choi_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     notes = tuple(op.notes)
@@ -450,7 +409,7 @@ def cesaro_limit_projection(
     phase: complex = 1.0,
     cluster_tol: float = 1e-10,
     warn_tol: float = 1e-8,
-) -> MatrixOperator:
+) -> LinearOperator:
     """Spectral projection of phase*T onto the eigenvalue-1 cluster.
 
     Equals the limit of the one-parameter averages (1/N) sum_k (phase T)^k
@@ -475,12 +434,12 @@ def cesaro_limit_projection(
         a, output="complex", sort=lambda v: abs(v - 1.0) <= cluster_tol
     )
     if sdim == 0:
-        return MatrixOperator(op.algebra, np.zeros((dim, dim)), tuple(notes))
+        return LinearOperator(op.algebra, np.zeros((dim, dim)), tuple(notes))
     if sdim == dim:
-        return MatrixOperator(op.algebra, np.eye(dim), tuple(notes))
+        return LinearOperator(op.algebra, np.eye(dim), tuple(notes))
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
     y = scipy.linalg.solve_sylvester(t11, -t22, t12)
     proj = np.zeros((dim, dim), dtype=np.complex128)
     proj[:sdim, :sdim] = np.eye(sdim)
     proj[:sdim, sdim:] = y
-    return MatrixOperator(op.algebra, z @ proj @ z.conj().T, tuple(notes))
+    return LinearOperator(op.algebra, z @ proj @ z.conj().T, tuple(notes))

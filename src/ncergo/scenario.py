@@ -39,9 +39,7 @@ from .averages import ergodic_average_family, limit_oracle, weighted_average_gri
 from .bau import onset_ladder
 from .contraction import (
     AbsoluteContraction,
-    composition,
     construct_contraction,
-    convex_combination,
     verify_absolute_contraction,
 )
 from .errors import (
@@ -65,7 +63,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.1"
+TOOL_VERSION = "0.1.2"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -312,17 +310,6 @@ def _resolve_contraction(alg: Algebra, spec, base_dir: str) -> dict:
     else:
         raise ConfigError(f"unknown contraction kind {kind!r}")
     return out
-
-
-def _build_resolved(alg: Algebra, resolved: dict) -> AbsoluteContraction:
-    spec = dict(resolved)
-    if spec["kind"] == "convex_combination":
-        return convex_combination(
-            [(w, _build_resolved(alg, sub)) for w, sub in spec["terms"]]
-        )
-    if spec["kind"] == "composition":
-        return composition([_build_resolved(alg, m) for m in spec["maps"]])
-    return construct_contraction(alg, spec)
 
 
 def _parse_trig_terms(d: int, terms) -> TrigPolynomial:
@@ -666,7 +653,7 @@ class _RunState:
         if self.maps is None:
             cfg = self.config
             self.maps = [
-                _build_resolved(
+                construct_contraction(
                     cfg.algebra,
                     _resolve_contraction(cfg.algebra, spec, cfg.base_dir),
                 )
@@ -703,9 +690,8 @@ def _run_verify(state: _RunState) -> TaskResult:
     failures = []
     for i, m in enumerate(maps, start=1):
         rep = verify_absolute_contraction(m, tol=cfg.tolerances["verify"])
-        kind = m.kind if isinstance(m, AbsoluteContraction) else "custom"
         rows.append((
-            f"T{i}", kind, rep.subunital_margin, rep.trace_margin,
+            f"T{i}", m.kind, rep.subunital_margin, rep.trace_margin,
             rep.choi_min_eig, rep.passed, "transfer-matrix",
         ))
         if not rep.passed:

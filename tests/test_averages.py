@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergo._rng import generator
 from ncergo.algebra import Algebra, Box, Projection, lp_norm, trace
@@ -17,6 +19,7 @@ from ncergo.contraction import (
     apply_power,
     convex_combination,
     identity_map,
+    kraus,
     pinching,
     scaled_unitary,
     substochastic,
@@ -101,6 +104,56 @@ def test_three_routes_agree_seeded():
         grid = weighted_average_grid(a, maps, x, Box.full(n)).value(n)
         assert (direct - fact).max_abs() < 1e-10
         assert (direct - grid).max_abs() < 1e-10
+
+
+def random_map(alg, rng):
+    dims = alg.block_dims
+    kind = int(rng.integers(3))
+    if kind == 0:
+        blocks = []
+        for d in dims:
+            q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            blocks.append(q * (np.diag(r) / np.abs(np.diag(r)))[None, :])
+        return scaled_unitary(alg, alg.element(blocks), float(rng.uniform(0.5, 1.0)))
+    if kind == 1:
+        ops = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+               for _ in range(2)]
+        top = max(
+            float(np.linalg.eigvalsh(sum(g(k[b]) for k in ops))[-1])
+            for b in range(len(dims))
+            for g in (lambda m: m.conj().T @ m, lambda m: m @ m.conj().T)
+        )
+        c = 1.0 / np.sqrt(1.01 * top)
+        return kraus(alg, [alg.element([c * m for m in k]) for k in ops])
+    b = int(rng.integers(len(dims)))
+    return pinching([diag_projection(alg, b, [int(rng.integers(dims[b]))])])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    d=st.integers(1, 2),
+    terms=st.integers(1, 3),
+    n=st.lists(st.integers(1, 6), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_three_routes_agree_property(dims, d, terms, n, seed):
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
+    x = alg.random_element(rng, kind="general")
+    maps = [random_map(alg, rng) for _ in range(d)]
+    a = TrigPolynomial(d, tuple(
+        TrigTerm(complex(*rng.uniform(-1.0, 1.0, size=2)),
+                 tuple(rng.uniform(0.0, 2 * np.pi, size=d)))
+        for _ in range(terms)
+    ))
+    n = tuple(n[:d])
+    direct = weighted_average_direct(a, maps, x, n)
+    fact = weighted_average_factorized(a, maps, x, n)
+    grid = weighted_average_grid(a, maps, x, Box.full(n)).value(n)
+    tol = 1e-12 * (1.0 + x.max_abs())
+    assert (direct - fact).max_abs() <= tol
+    assert (direct - grid).max_abs() <= tol
 
 
 def test_grid_family_consistent_across_boxes():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergo._rng import generator
-from ncergo.algebra import Algebra, Projection
+from ncergo.algebra import Algebra, Element, Projection
 from ncergo.contraction import (
     apply_power,
     cesaro_limit_projection,
@@ -173,9 +175,9 @@ def test_trace_adjoint_pairing_seeded():
         ]
     )
     from ncergo.algebra import trace
-    from ncergo.contraction import MatrixOperator
+    from ncergo.contraction import LinearOperator
 
-    adj = MatrixOperator(alg, trace_adjoint_matrix(t))
+    adj = LinearOperator(alg, trace_adjoint_matrix(t))
     for _ in range(10):
         x = alg.random_element(rng, kind="general")
         y = alg.random_element(rng, kind="general")
@@ -288,3 +290,210 @@ def test_construct_contraction_parity():
     assert np.abs(direct.transfer_matrix() - built.transfer_matrix()).max() < 1e-12
     with pytest.raises(UnsupportedError):
         construct_contraction(alg, {"kind": "no_such_kind"})
+
+
+def test_apply_rejects_other_algebra():
+    # same block dims, different trace weights: a different algebra
+    alg = Algebra((2,))
+    other = Algebra((2,), (0.5,)).identity()
+    raw = operator_from_function(alg, lambda x: x)
+    with pytest.raises(StructuralError):
+        raw.apply(other)
+    with pytest.raises(StructuralError):
+        identity_map(alg).apply(other)
+
+
+# ---------------------------------------------------------------------------
+# closed-form transfer and Choi matrices against probing through the old
+# per-kind Element formulas
+
+def random_unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+
+def random_complex(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def substochastic_kraus(alg, s):
+    # the Kraus family {sqrt(S_ij) e_ji} that realizes a substochastic map
+    n = alg.block_dims[0]
+    ops = []
+    for i in range(n):
+        for j in range(n):
+            if s[i, j] != 0.0:
+                k = np.zeros((n, n), dtype=complex)
+                k[j, i] = np.sqrt(s[i, j])
+                ops.append(alg.element([k]))
+    return ops or [alg.zero()]
+
+
+def draw_spec(alg, rng, depth=0):
+    """A random map as a (kind, params) record, nested up to two levels."""
+    kinds = ["scaled_unitary", "kraus", "pinching"]
+    if alg.num_blocks == 1:
+        kinds += ["schur_multiplier", "substochastic"]
+    if depth < 2:
+        kinds += ["convex_combination", "composition"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    dims = alg.block_dims
+    if kind == "scaled_unitary":
+        u = alg.element([random_unitary(rng, d) for d in dims])
+        return kind, (float(rng.uniform(0.1, 1.0)), u)
+    if kind == "kraus":
+        ops = [[random_complex(rng, d) for d in dims]
+               for _ in range(int(rng.integers(1, 4)))]
+        top = max(
+            float(np.linalg.eigvalsh(sum(g(k[b]) for k in ops))[-1])
+            for b in range(len(dims))
+            for g in (lambda m: m.conj().T @ m, lambda m: m @ m.conj().T)
+        )
+        c = 1.0 / np.sqrt(top * rng.uniform(1.01, 2.0))
+        return kind, [alg.element([c * m for m in k]) for k in ops]
+    if kind == "pinching":
+        # diagonal groups rotated per block, so projections span blocks and
+        # are Hermitian only up to rounding
+        rot = [random_unitary(rng, d) for d in dims]
+        coords = rng.permutation(alg.total_dim)
+        cuts = np.sort(rng.choice(np.arange(1, alg.total_dim + 1),
+                                  size=int(rng.integers(1, alg.total_dim + 1)),
+                                  replace=False))
+        projs, start = [], 0
+        offsets = np.cumsum((0,) + dims)
+        for stop in cuts:
+            group = set(int(c) for c in coords[start:stop])
+            start = stop
+            blocks = []
+            for b, (v, d) in enumerate(zip(rot, dims)):
+                mask = [1.0 if offsets[b] + i in group else 0.0 for i in range(d)]
+                blocks.append(v @ np.diag(mask) @ v.conj().T)
+            projs.append(Projection(alg.element(blocks)))
+        return kind, projs
+    if kind == "schur_multiplier":
+        a = random_complex(rng, dims[0])
+        h = a @ a.conj().T
+        return kind, rng.uniform(0.3, 1.0) * h / float(np.max(np.real(np.diag(h))))
+    if kind == "substochastic":
+        s = rng.random((dims[0], dims[0])) * (rng.random((dims[0], dims[0])) < 0.7)
+        return kind, s / max(1.0, s.sum(axis=0).max(), s.sum(axis=1).max())
+    subs = [draw_spec(alg, rng, depth + 1) for _ in range(int(rng.integers(1, 4)))]
+    if kind == "composition":
+        return kind, subs
+    w = rng.random(len(subs)) + 0.05
+    w = w / (w.sum() * rng.uniform(1.0, 1.5))
+    return kind, [(float(wi), sub) for wi, sub in zip(w, subs)]
+
+
+def build_spec(alg, spec):
+    kind, p = spec
+    if kind == "scaled_unitary":
+        return scaled_unitary(alg, p[1], p[0])
+    if kind == "kraus":
+        return kraus(alg, p)
+    if kind == "pinching":
+        return pinching(p)
+    if kind == "schur_multiplier":
+        return schur_multiplier(alg, p)
+    if kind == "substochastic":
+        return substochastic(alg, p)
+    if kind == "convex_combination":
+        return convex_combination([(w, build_spec(alg, sub)) for w, sub in p])
+    return composition([build_spec(alg, sub) for sub in p])
+
+
+def reference_apply(spec, x):
+    alg = x.algebra
+    kind, p = spec
+    if kind == "scaled_unitary":
+        s, u = p
+        return Element(alg, [s * (ub.conj().T @ xb @ ub) for ub, xb in zip(u.blocks, x.blocks)])
+    if kind == "pinching":
+        acc = alg.zero()
+        for proj in p:
+            e = proj.element
+            acc = acc + (e @ x @ e)
+        return acc
+    if kind == "schur_multiplier":
+        return Element(alg, [p * x.blocks[0]])
+    if kind in ("kraus", "substochastic"):
+        ops = p if kind == "kraus" else substochastic_kraus(alg, p)
+        blocks = [np.zeros_like(b) for b in x.blocks]
+        for k in ops:
+            for i, (kb, xb) in enumerate(zip(k.blocks, x.blocks)):
+                blocks[i] = blocks[i] + kb.conj().T @ xb @ kb
+        return Element(alg, blocks)
+    if kind == "convex_combination":
+        acc = alg.zero()
+        for lam, sub in p:
+            acc = acc + lam * reference_apply(sub, x)
+        return acc
+    for sub in p:
+        x = reference_apply(sub, x)
+    return x
+
+
+def probed_transfer(alg, fn):
+    cols = np.empty((alg.basis_size, alg.basis_size), dtype=complex)
+    col = 0
+    for b, d in enumerate(alg.block_dims):
+        for i in range(d):
+            for j in range(d):
+                cols[:, col] = alg.vec(fn(alg.basis_element(b, i, j)))
+                col += 1
+    return cols
+
+
+def probed_choi(alg, fn):
+    n = alg.total_dim
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    offset = 0
+    for b, d in enumerate(alg.block_dims):
+        for i in range(d):
+            for j in range(d):
+                out = fn(alg.basis_element(b, i, j))
+                gi, gj = offset + i, offset + j
+                row_off = 0
+                for blk in out.blocks:
+                    db = blk.shape[0]
+                    rows, cols = gi * n + row_off, gj * n + row_off
+                    choi[rows:rows + db, cols:cols + db] += blk
+                    row_off += db
+        offset += d
+    return choi
+
+
+def has_composition(spec):
+    kind, p = spec
+    if kind == "composition":
+        return True
+    return kind == "convex_combination" and any(has_composition(s) for _, s in p)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_forms_match_probed_reference(dims, single, seed):
+    if single:  # Schur multipliers and substochastic maps need one block
+        dims = dims[:1]
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
+    spec = draw_spec(alg, rng)
+    t = build_spec(alg, spec)
+    assert t.kind == {"substochastic": "kraus"}.get(spec[0], spec[0])
+
+    def fn(x):
+        return reference_apply(spec, x)
+
+    pairs = ((t.transfer_matrix(), probed_transfer(alg, fn)),
+             (choi_matrix(t), probed_choi(alg, fn)))
+    for got, want in pairs:
+        if has_composition(spec):
+            # a matrix product sums in another order than applying in turn
+            assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+        else:
+            assert np.array_equal(got, want)

@@ -3,8 +3,9 @@
 An algebra here is M_{d_1} + ... + M_{d_B} with a trace
 tau(x) = sum_b w_b tr(x_b), w_b > 0. Elements are immutable tuples of dense
 blocks. All norms, moduli and spectral objects are computed blockwise from
-eigenvalue or singular-value decompositions; nothing in this module mutates
-shared state, so values can be used freely across threads.
+eigenvalue or singular-value decompositions, except the p = 2 norm, which is
+read off the entries; nothing in this module mutates shared state, so values
+can be used freely across threads.
 """
 
 from __future__ import annotations
@@ -361,19 +362,25 @@ def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.nd
     """Per-member weighted Schatten-type norm over (n, d_b, d_b) stacks.
 
     One batched singular-value solve per block; p = inf gives the operator
-    norm. The final root is a Python float power per member, since numpy's
-    vectorized power can differ from libm pow in the last bit.
+    norm. p = 2 needs no solve: it is the Frobenius form
+    (sum_b w_b sum_ij (Re x_ij^2 + Im x_ij^2))^(1/2). Blocks are added in
+    block order from 0. The final root is a Python float power per member,
+    since numpy's vectorized power can differ from libm pow in the last bit.
     """
     if p != np.inf:
         p = float(p)
         if not np.isfinite(p) or p < 1:
             raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
-    svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
-    if p == np.inf:
-        return np.maximum.reduce([s[:, 0] for s in svals])
+    if p == 2.0:
+        powers = [np.sum(s.real**2 + s.imag**2, axis=(1, 2)) for s in stacks]
+    else:
+        svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
+        if p == np.inf:
+            return np.maximum.reduce([s[:, 0] for s in svals])
+        powers = [np.sum(s**p, axis=-1) for s in svals]
     total = 0
-    for w, s in zip(alg.trace_weights, svals):
-        total = total + w * np.sum(s**p, axis=-1)
+    for w, s in zip(alg.trace_weights, powers):
+        total = total + w * s
     return np.array([t ** (1.0 / p) for t in total.tolist()], dtype=np.float64)
 
 

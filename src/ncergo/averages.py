@@ -165,6 +165,33 @@ def _iterate_powers(mats: list[np.ndarray], x0: np.ndarray, upper: tuple[int, ..
     return count
 
 
+def _walk_slabs(mats: list[np.ndarray], x0: np.ndarray, grid: np.ndarray) -> int:
+    """Fill grid[k - 1] = T^k x over the box [1, grid.shape[:-1]], slab by slab.
+
+    Axis 1 is walked by matrix-vector products into grid[:, 0, ..., 0].
+    Each later axis j then advances the whole filled slab of axes before
+    it, one matrix product per step, writing step s into grid[..., s, 0, ...]
+    (step 0 overwrites the slab it starts from). Until axis j is walked, the
+    slab holds power 0 of that axis and of every later one. Counts one map
+    application per row advanced, which is the per-point walk's count.
+    """
+    upper, dim = grid.shape[:-1], grid.shape[-1]
+    first = grid.reshape(upper[0], -1, dim)[:, 0]
+    v = x0
+    for t in range(upper[0]):
+        v = mats[0] @ v
+        first[t] = v
+    count = upper[0]
+    for j in range(1, len(upper)):
+        lead = volume(upper[:j])
+        view = grid.reshape(lead, upper[j], -1, dim)
+        step = mats[j].T
+        for s in range(upper[j]):
+            np.matmul(view[:, max(s - 1, 0), 0], step, out=view[:, s, 0])
+        count += lead * upper[j]
+    return count
+
+
 def weighted_average_direct(
     a: Weight,
     maps: Sequence[LinearOperator],
@@ -203,8 +230,9 @@ def weighted_average_grid(
 ) -> AverageFamily:
     """All A_N for N in the box, via compensated prefix sums.
 
-    Needs O(points of [1, box.upper]) map applications in total, then one
-    compensated cumulative sum per axis.
+    Needs O(points of [1, box.upper]) map applications in total, walked as
+    whole slabs (one matrix product per step of each axis after the first),
+    then one compensated cumulative sum per axis.
     """
     _check_inputs(a, maps, x)
     if box.dim != len(maps):
@@ -218,12 +246,7 @@ def weighted_average_grid(
     alg = x.algebra
     dim = alg.basis_size
     grid = np.empty(upper + (dim,), dtype=np.complex128)
-    flat = grid.reshape(-1, dim)
-
-    def visit(pos: int, v: np.ndarray):
-        flat[pos] = v
-
-    apps = _iterate_powers(_transfer_stack(maps), alg.vec(x), upper, visit)
+    apps = _walk_slabs(_transfer_stack(maps), alg.vec(x), grid)
     grid *= eval_weight_box(a, upper)[..., None]
     for axis in range(len(upper)):
         grid = kahan_cumsum(grid, axis)

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.2"
+TOOL_VERSION = "0.1.3"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -92,15 +92,25 @@ _TABLE_COLUMNS = {
 # ---------------------------------------------------------------------------
 # canonical serialization
 
+class RenderedJSON(str):
+    """Canonical JSON text that canonical_json writes as it stands."""
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    A RenderedJSON anywhere in obj is copied verbatim; report_to_dict uses
+    it for table rows rendered a column at a time.
+    """
     out: list[str] = []
     _write_json(obj, out)
     return "".join(out)
 
 
 def _write_json(obj, out: list[str]) -> None:
-    if obj is None:
+    if type(obj) is RenderedJSON:
+        out.append(obj)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -571,6 +581,8 @@ class RunReport:
 
 
 def report_to_dict(report: RunReport) -> dict:
+    """The report as data for canonical_json; each table's rows are one
+    RenderedJSON, formatted a column at a time."""
     # wall clock deliberately left out: emitted bytes depend only on
     # (config, tool version)
     return {
@@ -590,7 +602,7 @@ def report_to_dict(report: RunReport) -> dict:
                     {
                         "name": tab.name,
                         "columns": list(tab.columns),
-                        "rows": [list(r) for r in tab.rows],
+                        "rows": _json_rows(tab),
                     }
                     for tab in t.tables
                 ],
@@ -946,12 +958,50 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _plain_ascii(text: str) -> bool:
+    """True when json.dumps(text) is text in quotes: printable ASCII with no
+    quote or backslash."""
+    return (text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text)
+
+
+def _format_column(values: tuple, json_out: bool) -> list[str]:
+    """One table column as JSON or CSV cells, the same cells canonical_json
+    or _csv_cell give one at a time.
+
+    Finite float, all-None and (for CSV, any; for JSON, plain ASCII) string
+    columns are formatted whole; any other column cell by cell, so a
+    non-finite float still raises IntegrityError in JSON.
+    """
+    kinds = {type(v) for v in values}
+    if kinds == {float} and (not json_out or all(map(math.isfinite, values))):
+        return [f"{v:.17g}" for v in values]
+    if kinds == {type(None)}:
+        return ["null" if json_out else ""] * len(values)
+    if kinds == {str}:
+        if not json_out:
+            return list(values)
+        if _plain_ascii("".join(values)):
+            return [f'"{v}"' for v in values]
+    return [(canonical_json if json_out else _csv_cell)(v) for v in values]
+
+
+def _table_cells(table: Table, json_out: bool) -> Iterator[tuple[str, ...]]:
+    """Rows of formatted cells, built a column at a time."""
+    columns = zip(*table.rows, strict=True)
+    return zip(*[_format_column(col, json_out) for col in columns])
+
+
+def _json_rows(table: Table) -> RenderedJSON:
+    rows = ",".join(f"[{','.join(r)}]" for r in _table_cells(table, True))
+    return RenderedJSON(f"[{rows}]")
+
+
 def table_to_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows(_table_cells(table, False))
     return buf.getvalue()
 
 

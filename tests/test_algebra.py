@@ -201,11 +201,20 @@ def reference_trace(alg, blocks):
     return complex(sum(w * np.trace(b) for w, b in zip(alg.trace_weights, blocks)))
 
 
-def reference_lp_norm(alg, blocks, p):
+def svd_lp_norm(alg, blocks, p):
     svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
     if p == np.inf:
         return max(float(s[0]) for s in svals)
     total = sum(w * float(np.sum(s**p)) for w, s in zip(alg.trace_weights, svals))
+    return float(total ** (1.0 / p))
+
+
+def reference_lp_norm(alg, blocks, p):
+    """p = 2 in the Frobenius form, every other p from singular values."""
+    if p != 2.0:
+        return svd_lp_norm(alg, blocks, p)
+    total = sum(w * float(np.sum(b.real**2 + b.imag**2))
+                for w, b in zip(alg.trace_weights, blocks))
     return float(total ** (1.0 / p))
 
 
@@ -240,6 +249,9 @@ def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p, seed):
         assert got_tr.real.hex() == ref_tr.real.hex()
         assert got_tr.imag.hex() == ref_tr.imag.hex()
         assert float(norms[k]).hex() == reference_lp_norm(alg, blocks, p).hex()
+        if p == 2.0:
+            via_svd = svd_lp_norm(alg, blocks, p)
+            assert abs(float(norms[k]) - via_svd) <= 1e-14 * via_svd
         x = alg.element(blocks)
         assert trace(x) == ref_tr and lp_norm(x, p) == float(norms[k])
 

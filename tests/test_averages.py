@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ncergo._rng import generator
 from ncergo.algebra import Algebra, Box, Projection, lp_norm, trace
 from ncergo.averages import (
+    _iterate_powers,
+    _walk_slabs,
     ergodic_average_family,
     limit_oracle,
     split_real_imag,
@@ -154,6 +156,35 @@ def test_three_routes_agree_property(dims, d, terms, n, seed):
     tol = 1e-12 * (1.0 + x.max_abs())
     assert (direct - fact).max_abs() <= tol
     assert (direct - grid).max_abs() <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slab_walk_matches_per_point_walk(dims, n, seed):
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
+    x = alg.random_element(rng, kind="general")
+    maps = [random_map(alg, rng) for _ in n]
+    mats = [t.transfer_matrix() for t in maps]
+    upper = tuple(n)
+    ref = np.empty(upper + (alg.basis_size,), dtype=np.complex128)
+    flat = ref.reshape(-1, alg.basis_size)
+
+    def visit(pos, v):
+        flat[pos] = v
+
+    ref_count = _iterate_powers(mats, alg.vec(x), upper, visit)
+    grid = np.full_like(ref, np.nan)
+    count = _walk_slabs(mats, alg.vec(x), grid)
+    assert count == ref_count
+    assert np.abs(grid - ref).max() <= 1e-12 * (1.0 + x.max_abs())
+    fam = weighted_average_grid(TrigPolynomial.constant(len(n)), maps, x,
+                                Box.full(upper))
+    assert fam.applications == ref_count
 
 
 def test_grid_family_consistent_across_boxes():

@@ -199,6 +199,52 @@ def test_csv_formatting():
     assert txt.splitlines()[2] == "2,false,"
 
 
+def per_cell_csv(table):
+    """CSV formatted one cell at a time, as emission did before columns."""
+    import csv
+    import io
+
+    from ncergo.scenario import _csv_cell
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([_csv_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def test_columnar_emission_matches_per_cell_emission():
+    from ncergo.errors import IntegrityError
+    from ncergo.scenario import Table, _json_rows
+
+    escaped = ('say "hi"', "back\\slash", "a,b", "two\nlines", "caf\u00e9", "\x7f")
+    mixed = (None, True, False, 3, np.int64(-4), np.float64(0.1), -0.0, "s")
+    floats = (-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0, 123456789.0, 1e-300)
+    rows = [
+        (floats[k], None, f"({k},{k + 1})", escaped[k % len(escaped)],
+         mixed[k], k - 3)
+        for k in range(8)
+    ]
+    columns = ("floats", "nones", "plain", "escaped", "mixed", "ints")
+    # each string that json.dumps escapes, alone among plain ones
+    one_escape = [
+        [r[:3] + (text if k == 5 else "plain",) + r[4:] for k, r in enumerate(rows)]
+        for text in escaped
+    ]
+    for body in [rows, []] + one_escape:
+        table = Table("mixed", columns, tuple(body))
+        # canonical_json of plain lists writes one cell at a time
+        assert _json_rows(table) == canonical_json([list(r) for r in body])
+        assert table_to_csv(table) == per_cell_csv(table)
+    # a non-finite float still refuses to serialize, and still prints in CSV
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        table = Table("mixed", columns, ((bad,) + rows[0][1:],) + tuple(rows[1:]))
+        with pytest.raises(IntegrityError):
+            _json_rows(table)
+        assert table_to_csv(table) == per_cell_csv(table)
+
+
 def test_emit_report_files_round_trip(tmp_path):
     cfg = scenario_from_dict(small_config())
     rep = run_scenario(cfg, tasks=["verify", "average"])
@@ -264,11 +310,21 @@ def reference_average_rows(cfg):
         return complex(sum(w * np.trace(b)
                            for w, b in zip(el.algebra.trace_weights, el.blocks)))
 
-    def norm(el, p):
+    def svd_norm(el, p):
         svals = [np.linalg.svd(b, compute_uv=False) for b in el.blocks]
         total = sum(w * float(np.sum(s**p))
                     for w, s in zip(el.algebra.trace_weights, svals))
         return float(total ** (1.0 / p))
+
+    def norm(el, p):
+        # p = 2 in the Frobenius form, every other p from singular values
+        if p != 2.0:
+            return svd_norm(el, p)
+        total = sum(w * float(np.sum(b.real**2 + b.imag**2))
+                    for w, b in zip(el.algebra.trace_weights, el.blocks))
+        value = float(total ** (1.0 / p))
+        assert abs(value - svd_norm(el, p)) <= 1e-14 * value
+        return value
 
     state = _RunState(cfg, cfg.budget)
     maps, x = state.get_maps(), state.get_element()

@@ -1,5 +1,7 @@
 """Weight sequences: evaluation, bounds, and mean-approximation audits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,20 @@ def test_kahan_cumsum_matches_numpy():
     arr = rng.standard_normal((5, 7))
     out = kahan_cumsum(arr, axis=1)
     assert np.abs(out - np.cumsum(arr, axis=1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kahan_cumsum_matches_fsum_over_a_million_terms(kind):
+    # positive terms over six decades: plain np.cumsum drifts to ~1e-14
+    # relative by the last prefix, the compensated sum must stay at 1 ulp
+    rng = np.random.default_rng(20260815)
+    n = 10**6
+    terms = 10.0 ** rng.uniform(-3, 3, size=n)
+    if kind == "complex":
+        terms = terms * np.exp(1j * rng.uniform(0.0, 0.5, size=n))
+    out = kahan_cumsum(terms, axis=0)
+    assert out.shape == terms.shape and out.dtype == terms.dtype
+    for k in (1, 10, 10**3, 10**5, 10**6):
+        head = terms[:k]
+        ref = complex(math.fsum(head.real.tolist()), math.fsum(head.imag.tolist()))
+        assert abs(complex(out[k - 1]) - ref) <= 2.0**-52 * abs(ref)

@@ -63,7 +63,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.3"
+TOOL_VERSION = "0.1.4"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -583,6 +583,12 @@ class RunReport:
 def report_to_dict(report: RunReport) -> dict:
     """The report as data for canonical_json; each table's rows are one
     RenderedJSON, formatted a column at a time."""
+    return _report_dict(report, {})
+
+
+def _report_dict(report: RunReport, floats: dict) -> dict:
+    """report_to_dict with each table's _float_cells looked up by id(table)
+    in floats where present."""
     # wall clock deliberately left out: emitted bytes depend only on
     # (config, tool version)
     return {
@@ -602,7 +608,7 @@ def report_to_dict(report: RunReport) -> dict:
                     {
                         "name": tab.name,
                         "columns": list(tab.columns),
-                        "rows": _json_rows(tab),
+                        "rows": _json_rows(tab, floats.get(id(tab))),
                     }
                     for tab in t.tables
                 ],
@@ -965,16 +971,30 @@ def _plain_ascii(text: str) -> bool:
             and '"' not in text and "\\" not in text)
 
 
+def _float_cells(table: Table) -> list[list[str] | None]:
+    """Each finite all-float column of table as its .17g cells, else None.
+
+    JSON and CSV print these cells alike, so emit_report formats them once
+    for both files.
+    """
+    return [
+        [f"{v:.17g}" for v in col]
+        if {type(v) for v in col} == {float} and all(map(math.isfinite, col))
+        else None
+        for col in zip(*table.rows, strict=True)
+    ]
+
+
 def _format_column(values: tuple, json_out: bool) -> list[str]:
     """One table column as JSON or CSV cells, the same cells canonical_json
     or _csv_cell give one at a time.
 
-    Finite float, all-None and (for CSV, any; for JSON, plain ASCII) string
-    columns are formatted whole; any other column cell by cell, so a
+    All-None, (for CSV) all-float and (for CSV, any; for JSON, plain ASCII)
+    string columns are formatted whole; any other column cell by cell, so a
     non-finite float still raises IntegrityError in JSON.
     """
     kinds = {type(v) for v in values}
-    if kinds == {float} and (not json_out or all(map(math.isfinite, values))):
+    if kinds == {float} and not json_out:
         return [f"{v:.17g}" for v in values]
     if kinds == {type(None)}:
         return ["null" if json_out else ""] * len(values)
@@ -986,22 +1006,33 @@ def _format_column(values: tuple, json_out: bool) -> list[str]:
     return [(canonical_json if json_out else _csv_cell)(v) for v in values]
 
 
-def _table_cells(table: Table, json_out: bool) -> Iterator[tuple[str, ...]]:
-    """Rows of formatted cells, built a column at a time."""
+def _table_cells(table: Table, json_out: bool,
+                 floats: list[list[str] | None]) -> Iterator[tuple[str, ...]]:
+    """Rows of formatted cells, built a column at a time; floats are the
+    table's _float_cells."""
     columns = zip(*table.rows, strict=True)
-    return zip(*[_format_column(col, json_out) for col in columns])
+    return zip(*[
+        _format_column(col, json_out) if cells is None else cells
+        for col, cells in zip(columns, floats)
+    ])
 
 
-def _json_rows(table: Table) -> RenderedJSON:
-    rows = ",".join(f"[{','.join(r)}]" for r in _table_cells(table, True))
+def _json_rows(table: Table, floats=None) -> RenderedJSON:
+    cells = _table_cells(
+        table, True, _float_cells(table) if floats is None else floats)
+    rows = ",".join(f"[{','.join(r)}]" for r in cells)
     return RenderedJSON(f"[{rows}]")
 
 
 def table_to_csv(table: Table) -> str:
+    return _csv_text(table, _float_cells(table))
+
+
+def _csv_text(table: Table, floats: list[list[str] | None]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
-    writer.writerows(_table_cells(table, False))
+    writer.writerows(_table_cells(table, False, floats))
     return buf.getvalue()
 
 
@@ -1018,15 +1049,16 @@ def emit_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    floats = {id(tab): _float_cells(tab) for t in report.tasks for tab in t.tables}
     if "structured" in fmts:
         path = out / "report.json"
-        path.write_text(report_to_text(report))
+        path.write_text(canonical_json(_report_dict(report, floats)) + "\n")
         written.append(path)
     if "tabular" in fmts:
         for task in report.tasks:
             for table in task.tables:
                 path = out / f"{table.name}.csv"
-                path.write_text(table_to_csv(table))
+                path.write_text(_csv_text(table, floats[id(table)]))
                 written.append(path)
     for task in report.tasks:
         text = task.summary.get("projection_text")

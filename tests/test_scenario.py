@@ -503,3 +503,13 @@ def test_operation_counts_cover_every_solve_and_grid(monkeypatch):
         "map_applications": totals["applications"],
         "dominant_iterations": totals["iterations"],
     }
+
+
+def test_pyproject_version_matches_tool_version():
+    import ncergo
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == ncergo.TOOL_VERSION == ncergo.__version__

@@ -290,9 +290,11 @@ def test_scaling_equivariance():
     alg = Algebra((2,))
     rng = generator(22, "scl")
     fam = random_family(alg, rng, 3)
-    a = dominant_element(fam, p=2.0)
-    b = dominant_element([2.5 * x for x in fam], p=2.0)
-    assert b.norm == pytest.approx(2.5 * a.norm, rel=1e-5)
+    for p in (2.0, 1.0):
+        a = dominant_element(fam, p=p)
+        for factor in (2.5, 1e-6, 1e6):
+            b = dominant_element([factor * x for x in fam], p=p)
+            assert b.norm == pytest.approx(factor * a.norm, rel=1e-5)
 
 
 def test_monotone_in_members():

@@ -16,6 +16,13 @@ the infimum; the reported lower bound is sum_k tau(rho_k x_k) for a
 certificate with rho_k >= 0 and ||sum_k rho_k||_q <= 1, so the truth is
 bracketed. A solve that stops at its iteration cap says so (converged is
 False) and still returns a verified bracket.
+
+Sweeps over the whole family measure only the members a cheap rigorous
+bound cannot clear: Gershgorin row bounds on each member's top eigenvalue,
+and Weyl's inequality on each margin lambda_min(a - x_k). Batched LAPACK
+works one matrix at a time, so a member measured alone gets bit for bit the
+value the full batch gives, and every reported number is the one an
+exhaustive sweep gives.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ BRACKET_RTOL = 1e-12  # relative excess of the dual bound taken as rounding
 CHECK_EVERY = 10  # dual steps between checks against the whole family
 STEP_GROW = 1.25  # step enlargement after every accepted step
 PROX_WEIGHT = 3.0  # p = 1 smoothing weight mu, over the family's largest entry
+ROUND_PAD = 4.0  # rounding allowance of a screened bound, in d^2 eps (scale + ||a||)
+JOINT_CHUNK = 256  # members per chunk of the joint-eigenbasis residual test
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,90 @@ def _margins_full(a_blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.nd
                               for a_b, x_b in zip(a_blocks, stacks)])
 
 
+def _gershgorin(stacks: list[np.ndarray]) -> np.ndarray:
+    """(n, blocks) Gershgorin row bounds g_kb >= lambda_max(x_kb), no LAPACK."""
+    cols = []
+    for x_b in stacks:
+        mag = np.abs(x_b)
+        diag = np.diagonal(x_b, axis1=-2, axis2=-1).real
+        rows = diag - np.diagonal(mag, axis1=-2, axis2=-1) + mag.sum(axis=-1)
+        cols.append(rows.max(axis=-1))
+    return np.stack(cols, axis=1)
+
+
+def _top_member(stacks: list[np.ndarray], bound: np.ndarray,
+                scale: float) -> tuple[int, float]:
+    """First member with the largest top eigenvalue, and that eigenvalue.
+
+    bound holds Gershgorin bounds g_kb >= lambda_max(x_kb). The member with
+    the largest bound is measured first; only members whose bound reaches
+    its value (less 1e-12 * scale for rounding) can hold or tie the
+    maximum, so only they are measured after it.
+    """
+    def top(idx) -> np.ndarray:
+        return np.maximum.reduce([np.linalg.eigvalsh(x_b[idx])[:, -1] for x_b in stacks])
+
+    bound = bound.max(axis=1)
+    first = top([int(np.argmax(bound))])[0]
+    cand = np.flatnonzero(bound >= first - 1e-12 * scale)
+    vals = top(cand)
+    j = int(np.argmax(vals))
+    return int(cand[j]), float(vals[j])
+
+
+def _weyl_floor(a_blocks: list[np.ndarray], bound: np.ndarray, scale: float):
+    """(floor, pad): floor[k] <= min_b lambda_min(a_b - x_kb), less pad.
+
+    Weyl: lambda_min(a_b - x_kb) >= lambda_min(a_b) - g_kb. pad allows for
+    the rounding of g, of the eigenvalues of a and of a measured margin.
+    """
+    lam = [np.linalg.eigvalsh(a_b) for a_b in a_blocks]
+    a_norm = max(float(np.abs(v).max()) for v in lam)
+    d = max(a_b.shape[-1] for a_b in a_blocks)
+    pad = ROUND_PAD * d * d * np.finfo(float).eps * (scale + a_norm)
+    floor = np.min([v[0] - g for v, g in zip(lam, bound.T)], axis=0) - pad
+    return floor, pad
+
+
+def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
+                   bound: np.ndarray, scale: float, last=None):
+    """(low, near, pad): low[k] <= lambda_min(a - x_k), exact on near.
+
+    low is the larger of the Weyl floor and, when last = (low, a, pad) of an
+    earlier call, that bound less ||a - a_last|| (Weyl again), both padded
+    for rounding. near holds the members whose bound does not clear
+    FEAS_TOL * scale; they are measured, so every margin <= FEAS_TOL * scale
+    is exact.
+    """
+    low, pad = _weyl_floor(a_blocks, bound, scale)
+    if last is not None:
+        low_last, a_last, pad_last = last
+        drift = max(float(np.abs(np.linalg.eigvalsh(a_b - r_b)).max())
+                    for a_b, r_b in zip(a_blocks, a_last))
+        low = np.maximum(low, low_last - (drift + pad + pad_last))
+    near = np.flatnonzero(low <= FEAS_TOL * scale)
+    low[near] = _margins_full(a_blocks, [x_b[near] for x_b in stacks])
+    return low, near, pad
+
+
+def _min_margin(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
+                bound: np.ndarray, scale: float) -> float:
+    """min_k lambda_min(a - x_k), measuring only members that can reach it.
+
+    The member with the lowest Weyl floor has a margin m0 >= the minimum;
+    a member whose floor exceeds m0 (plus FEAS_TOL * scale) cannot reach it.
+    """
+    floor = _weyl_floor(a_blocks, bound, scale)[0]
+    first = int(np.argmin(floor))
+    margin = float(_margins_full(a_blocks, [x_b[[first]] for x_b in stacks])[0])
+    near = np.flatnonzero(floor <= margin + FEAS_TOL * scale)
+    near = near[near != first]
+    if near.size:
+        margin = min(margin, float(np.min(
+            _margins_full(a_blocks, [x_b[near] for x_b in stacks]))))
+    return margin
+
+
 def _tau_pair(u: list[np.ndarray], v: list[np.ndarray], wts) -> float:
     """sum_b w_b Re tr(u_b v_b^*) over matching stacks: tau(u v) for Hermitian v."""
     return float(sum(w * np.vdot(vb, ub).real for w, ub, vb in zip(wts, u, v)))
@@ -139,6 +232,7 @@ def _tau_pair(u: list[np.ndarray], v: list[np.ndarray], wts) -> float:
 
 def _solve_dual(
     stacks: list[np.ndarray], alg: Algebra, p: float, tol: float, max_iter: int,
+    bound: np.ndarray, size: float,
 ):
     """Accelerated projected ascent on the smooth dual, over a working set W.
 
@@ -157,10 +251,17 @@ def _solve_dual(
     family: the most violated member joins W, a + max(0, -min margin) * 1 is
     a verified dominant (upper bound) and rho / ||S||_q a verified dual
     certificate (lower bound). Stops at a best verified relative gap <= tol.
+
+    A check keeps a running lower bound on every margin (_margin_bounds):
+    the larger of the Weyl floor lambda_min(a) - g_k (bound holds
+    g_k >= lambda_max(x_k)) and the last check's bound less ||a - a_last||.
+    Only members whose bound does not clear FEAS_TOL * scale are measured,
+    and their measured margins become their bounds. The lift and the member
+    that joins W depend only on margins below -FEAS_TOL * scale, which are
+    always measured. The drift term clears near-duplicate members, whose
+    Weyl floor is loose.
     """
     wts = alg.trace_weights
-    n = stacks[0].shape[0]
-    size = max(float(np.abs(s).max()) for s in stacks)
     scale = 1.0 + size
     q = np.inf if p == 1.0 else p / (p - 1.0)
     mu = PROX_WEIGHT / max(size, 1e-300)  # so that a(S) is in the units of x
@@ -181,8 +282,7 @@ def _solve_dual(
 
     # start from the positive part of the member with the largest top
     # eigenvalue, scaled to the best multiple (p > 1) or to ||S||_inf = 1
-    top = np.maximum.reduce([np.linalg.eigvalsh(x_b)[:, -1] for x_b in stacks])
-    work = [int(np.argmax(top))]
+    work = [_top_member(stacks, bound, scale)[0]]
     x_w = [x_b[work] for x_b in stacks]
     rho = [_psd(x) for x in x_w]
     s_norm = norm_q(rho)
@@ -192,24 +292,14 @@ def _solve_dual(
 
     best_up: tuple[float, list[np.ndarray]] = (np.inf, [])
     best_low = (0.0, (), [r[:0] for r in rho])  # (bound, members, rho / ||S||_q)
-    ref = None  # (a, margins) at the last full re-measure
+    last = None  # (margin bounds, a, pad) at the last check
     y = rho
     a_y = a_rho = a_of(rho)
     t_mom, step, it, converged = 1.0, 1.0, 0, False
     while True:
         if it % CHECK_EVERY == 0:
-            # Weyl: a member whose margin at ref exceeds ||a - a_ref|| is
-            # still feasible, so only the others are re-measured
-            if ref is not None:
-                drift = max(float(np.abs(np.linalg.eigvalsh(a_b - r_b)).max())
-                            for a_b, r_b in zip(a_rho, ref[0]))
-                near = np.flatnonzero(ref[1] - drift <= FEAS_TOL * scale)
-            if ref is None or 4 * near.size > n:
-                near = np.arange(n)
-                ref = (a_rho, _margins_full(a_rho, stacks))
-                margins = ref[1]
-            else:
-                margins = _margins_full(a_rho, [x_b[near] for x_b in stacks])
+            low, near, pad = _margin_bounds(a_rho, stacks, bound, scale, last)
+            last, margins = (low, a_rho, pad), low[near]
             lift = max(0.0, -float(margins.min(initial=0.0)))
             a_up = [a_b + lift * np.eye(a_b.shape[-1]) for a_b in a_rho]
             up = float(stack_lp_norm(alg, [b[None] for b in a_up], p)[0])
@@ -268,7 +358,8 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
     scale = 1.0 + max(float(np.abs(s).max()) for s in raw)
     if all(_offdiag_max(s) <= 1e-13 * scale for s in raw):
         return [np.eye(s.shape[-1], dtype=np.complex128) for s in raw]
-    steps = np.arange(1, raw[0].shape[0] + 1)
+    n = raw[0].shape[0]
+    steps = np.arange(1, n + 1)
     for seed_coef in (1.2345678901, 2.7182818284):
         coef = np.cos(seed_coef * steps)[:, None, None]
         # sequential over members from 0, like sum() over a list
@@ -276,10 +367,10 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
             np.linalg.eigh(_herm(np.add.reduce(coef * s, axis=0, initial=0)))[1]
             for s in raw
         ]
-        resid = max(
-            _offdiag_max(v.conj().T @ x_b @ v) for v, x_b in zip(basis, stacks)
-        )
-        if resid <= tol * scale:
+        # the residual test stops at the first chunk of members that fails
+        if all(_offdiag_max(v.conj().T @ x_b[lo:lo + JOINT_CHUNK] @ v) <= tol * scale
+               for lo in range(0, n, JOINT_CHUNK)
+               for v, x_b in zip(basis, stacks)):
             return basis
     return None
 
@@ -314,10 +405,13 @@ def dominant_element(
     wts = alg.trace_weights
     stacks = [_herm(s) for s in raw]
     n_members = stacks[0].shape[0]
+    size = max(float(np.abs(s).max()) for s in stacks)
+    scale = 1.0 + size
+    bound = _gershgorin(stacks)
 
     def finish(a_el: Element, norm, lower, iters, converged, method,
                members=(), rho=()):
-        margin = float(np.min(_margins_full([b for b in a_el.blocks], stacks)))
+        margin = _min_margin(list(a_el.blocks), stacks, bound, scale)
         norm, lower = float(norm), float(lower)
         if lower > norm:
             # the dual bound can pass the primal norm only by rounding
@@ -333,8 +427,7 @@ def dominant_element(
         )
 
     if p == np.inf:
-        top = max(float(np.linalg.eigvalsh(s)[:, -1].max()) for s in stacks)
-        t = max(top, 0.0)
+        t = max(_top_member(stacks, bound, scale)[1], 0.0)
         a = alg.scalar(t)
         return finish(a, t, t, 0, True, "infinity_exact")
 
@@ -364,7 +457,7 @@ def dominant_element(
         return finish(a, norm, norm, 0, True, "commuting_exact")
 
     a_blocks, (lower, members, rho), iters, converged = _solve_dual(
-        stacks, alg, p, tol, max_iter
+        stacks, alg, p, tol, max_iter, bound, size
     )
     a = alg.element(a_blocks, True)
     return finish(a, lp_norm(a, p), lower, iters, converged, "dual_fista",

@@ -1,0 +1,247 @@
+"""Screened family sweeps against their unscreened formulas, bit for bit.
+
+The dominant solver and certification measure only the members a cheap
+rigorous bound cannot clear. The unscreened formulas are kept here as
+oracles: a screen may skip work but never change a number.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncergo import bau, maximal
+from ncergo.algebra import Algebra, spectral_projection
+from ncergo.maximal import FEAS_TOL, JOINT_CHUNK
+from ncergo.scenario import run_scenario, scenario_from_dict
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def hermitian(rng, shape):
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (g + np.conj(np.swapaxes(g, -1, -2))) / 2
+
+
+def screen_family(kind, seed, dims, n):
+    """Per-block Hermitian stacks of n members of the given kind."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for d in dims:
+        if kind == "diagonal":
+            # few distinct values, so top eigenvalues and margins tie often
+            s = (rng.integers(-3, 4, size=(n, d)) / 2)[:, :, None] * np.eye(d)
+        elif kind == "near_duplicate":
+            base = hermitian(rng, (d, d))
+            s = base[None] + 1e-9 * hermitian(rng, (n, d, d))
+            s[::3] = base  # some members repeat exactly
+        elif kind == "plus_minus":
+            half = hermitian(rng, ((n + 1) // 2, d, d))
+            s = np.stack((half, -half), axis=1).reshape((-1, d, d))[:n]
+        else:
+            mags = rng.uniform(0.0, 2.0, size=(n, 1, 1))
+            s = mags * hermitian(rng, (n, d, d))
+        stacks.append(np.ascontiguousarray(s, dtype=complex))
+    return stacks
+
+
+def full_margins(a_blocks, stacks):
+    # unscreened: every member's min eigenvalue of a - x_k, across blocks
+    return np.minimum.reduce([
+        np.linalg.eigvalsh(maximal._herm(a_b[None] - x_b))[:, 0]
+        for a_b, x_b in zip(a_blocks, stacks)
+    ])
+
+
+def full_top(stacks):
+    # unscreened: first member with the largest top eigenvalue, and its value
+    top = np.maximum.reduce([np.linalg.eigvalsh(x_b)[:, -1] for x_b in stacks])
+    return int(np.argmax(top)), float(top.max())
+
+
+def full_compressed_sup(e, stacks):
+    # unscreened: one batched svd of every compressed member per block
+    worst = 0.0
+    for e_b, r_b in zip(e.element.blocks, stacks):
+        if r_b.shape[0] == 0:
+            continue
+        sv = np.linalg.svd(e_b[None] @ r_b @ e_b[None], compute_uv=False)
+        worst = max(worst, float(sv[:, 0].max()) if sv.size else 0.0)
+    return worst
+
+
+def trial_dominants(kind, stacks, top, rng):
+    """Candidate a's around where the solver's checks and finish put them."""
+    eyes = [np.eye(x_b.shape[-1], dtype=complex) for x_b in stacks]
+    if kind == "top":  # the p = inf dominant: some margins are exactly 0
+        return [top * i for i in eyes]
+    if kind == "top_perturbed":
+        return [top * i + 1e-10 * hermitian(rng, i.shape) for i in eyes]
+    if kind == "sum_positive":  # dominates everything with room to spare
+        return [maximal._psd(x_b).sum(axis=0) for x_b in stacks]
+    return [maximal._psd(x_b[0]) for x_b in stacks]  # violated by most members
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.integers(1, 300),
+    kind=st.sampled_from(("diagonal", "near_duplicate", "plus_minus", "general")),
+    a_kind=st.sampled_from(("top", "top_perturbed", "sum_positive", "first_positive")),
+    drift=st.sampled_from((0.0, 1e-13, 1e-6, 1e-2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_kernels_equal_unscreened(dims, n, kind, a_kind, drift, seed):
+    stacks = screen_family(kind, seed, dims, n)
+    rng = np.random.default_rng(seed + 1)
+    scale = 1.0 + max(float(np.abs(s).max()) for s in stacks)
+    bound = maximal._gershgorin(stacks)
+    assert np.all(bound.max(axis=1) >= np.maximum.reduce(
+        [np.linalg.eigvalsh(x_b)[:, -1] for x_b in stacks]) - 1e-13 * scale)
+
+    # top member: the first argmax and the max of the full eigvalsh
+    k, top = full_top(stacks)
+    assert maximal._top_member(stacks, bound, scale) == (k, top)
+
+    # finish's minimum margin
+    a = trial_dominants(a_kind, stacks, top, rng)
+    exact = full_margins(a, stacks)
+    assert maximal._min_margin(a, stacks, bound, scale) == exact.min()
+
+    # the checks' running bounds: exact on every member that can bind, and
+    # never above a margin, also after a drift from the last check's a
+    last = None
+    for a_t in (a, [b + drift * hermitian(rng, b.shape) for b in a]):
+        exact = full_margins(a_t, stacks)
+        low, near, _ = maximal._margin_bounds(a_t, stacks, bound, scale, last)
+        assert np.all(low[near] == exact[near])
+        assert set(np.flatnonzero(exact <= FEAS_TOL * scale)) <= set(near)
+        assert np.all(low <= exact)
+        last = (low, a_t, _)
+
+
+def test_min_margin_reaches_past_the_lowest_floor():
+    # b's Gershgorin bound is loose (1.1 against lambda_max 0.793), so b has
+    # the lowest floor, yet the diagonal a has the lower margin, 8e-4 below
+    a = np.diag([0.7935, 0.0])
+    b = np.array([[0.6, 0.5], [0.5, -0.5]])
+    stacks = [np.stack([b, a]).astype(complex)]
+    bound = maximal._gershgorin(stacks)
+    zero = [np.zeros((2, 2), dtype=complex)]
+    floor = maximal._weyl_floor(zero, bound, 1.6)[0]
+    assert floor[0] < floor[1]
+    assert maximal._min_margin(zero, stacks, bound, 1.6) == full_margins(zero, stacks).min()
+    assert full_margins(zero, stacks).min() == pytest.approx(-0.7935)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.integers(1, 300),
+    kind=st.sampled_from(("diagonal", "near_duplicate", "plus_minus", "general",
+                          "complex")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_compressed_sup_equals_batched_svd(dims, n, kind, seed):
+    alg = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    if kind == "complex":  # certify_bau_complex measures non-Hermitian residuals
+        stacks = [rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+                  for d in dims]
+    else:
+        stacks = screen_family(kind, seed, dims, n)
+    for e in (spectral_projection(alg.identity(), (-np.inf, np.inf)),
+              spectral_projection(alg.random_element(rng, kind="hermitian"),
+                                  (-np.inf, 0.0))):
+        assert bau._compressed_sup(e, stacks) == full_compressed_sup(e, stacks)
+
+
+# ---------------------------------------------------------------------------
+# joint-eigenbasis residual test in member chunks
+
+def rotated_commuting(rng, d, n):
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    lam = rng.uniform(-1.0, 1.5, size=(n, d))
+    return (u[None] * lam[:, None, :]) @ u.conj().T
+
+
+def test_commuting_family_past_one_chunk_is_exact():
+    rng = np.random.default_rng(5)
+    n = 2 * JOINT_CHUNK + 7
+    stacks = [rotated_commuting(rng, 3, n), rotated_commuting(rng, 2, n)]
+    rep = maximal.dominant_element(stacks, 2.0, algebra=Algebra((3, 2)))
+    assert rep.method == "commuting_exact"
+
+
+def test_noncommuting_member_past_first_chunk_is_caught():
+    # the first chunk holds multiples of 1, which pass in any basis, so only
+    # a later chunk can fail
+    rng = np.random.default_rng(6)
+    n = JOINT_CHUNK + 40
+    stack = rotated_commuting(rng, 2, n)
+    stack[:JOINT_CHUNK] = rng.uniform(-1.0, 1.5, size=(JOINT_CHUNK, 1, 1)) * np.eye(2)
+    stack[JOINT_CHUNK + 11] = np.array([[0.5, 0.4], [0.4, -0.2]])
+    alg = Algebra((2,))
+    assert maximal._joint_eigenbasis([stack], [stack]) is None
+    rep = maximal.dominant_element([stack], 2.0, tol=1e-6, algebra=alg)
+    assert rep.method == "dual_fista"
+
+
+# ---------------------------------------------------------------------------
+# the screens keep working: results cannot show it, so count the members
+
+def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
+    measured = {"checks": [], "finish": [], "sup": []}
+    counting = {"on": None}
+    margins_full, svd = maximal._margins_full, np.linalg.svd
+
+    def count_margins(a_blocks, stacks):
+        if counting["on"] in ("checks", "finish"):
+            measured[counting["on"]][-1][0] += stacks[0].shape[0]
+        return margins_full(a_blocks, stacks)
+
+    def count_svd(a, *args, **kwargs):
+        if counting["on"] == "sup":
+            measured["sup"][-1][0] += a.shape[0]
+        return svd(a, *args, **kwargs)
+
+    def wrap(fn, name, size):
+        def wrapped(*args):
+            measured[name].append([0, size(*args)])
+            counting["on"] = name
+            try:
+                return fn(*args)
+            finally:
+                counting["on"] = None
+        return wrapped
+
+    monkeypatch.setattr(maximal, "_margins_full", count_margins)
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    monkeypatch.setattr(maximal, "_margin_bounds", wrap(
+        maximal._margin_bounds, "checks", lambda a, stacks, *_: stacks[0].shape[0]))
+    monkeypatch.setattr(maximal, "_min_margin", wrap(
+        maximal._min_margin, "finish", lambda a, stacks, *_: stacks[0].shape[0]))
+    monkeypatch.setattr(bau, "_compressed_sup", wrap(
+        bau._compressed_sup, "sup", lambda e, stacks: stacks[0].shape[0]))
+
+    data = json.loads((CONFIGS / "rate_d2.json").read_text())
+    data["tasks"] = ["average", "certify"]
+    data["certify"] = {"onsets": [1]}
+    report = run_scenario(scenario_from_dict(data, base_dir=CONFIGS))
+    assert all(t.status == "ok" for t in report.tasks)
+
+    # onset 1 of the 64^2 box: 4,096 residuals, 8,192 +- members per part
+    checks = [m for m in measured["checks"] if m[1] == 8192]
+    finish = [m for m in measured["finish"] if m[1] == 8192]
+    sup = [m for m in measured["sup"] if m[1] == 4096]
+    assert checks and finish and sup
+    # the first check meets the start point with loose floors; later ones
+    # measure almost nothing (about 17% over all checks at the default seed)
+    assert sum(c for c, _ in checks) < 0.5 * sum(t for _, t in checks)
+    for count, total in finish:
+        assert count < 0.05 * total
+    for count, total in sup:
+        assert count < 0.10 * total

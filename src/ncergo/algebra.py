@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._numeric import CHUNK_BYTES
 from .errors import NumericError, StructuralError
 
 HERM_HINT_RTOL = 1e-12
@@ -363,16 +364,25 @@ def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.nd
 
     One batched singular-value solve per block; p = inf gives the operator
     norm. p = 2 needs no solve: it is the Frobenius form
-    (sum_b w_b sum_ij (Re x_ij^2 + Im x_ij^2))^(1/2). Blocks are added in
-    block order from 0. The final root is a Python float power per member,
-    since numpy's vectorized power can differ from libm pow in the last bit.
+    (sum_b w_b sum_ij (Re x_ij^2 + Im x_ij^2))^(1/2), summed a chunk of
+    members at a time. Blocks are added in block order from 0. The final
+    root is a Python float power per member, since numpy's vectorized power
+    can differ from libm pow in the last bit.
     """
     if p != np.inf:
         p = float(p)
         if not np.isfinite(p) or p < 1:
             raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
     if p == 2.0:
-        powers = [np.sum(s.real**2 + s.imag**2, axis=(1, 2)) for s in stacks]
+        powers = []
+        for s in stacks:
+            # member chunks keep the Re^2 / Im^2 temporaries near CHUNK_BYTES
+            rows = max(1, CHUNK_BYTES // (s.itemsize * s.shape[1] * s.shape[2]))
+            sums = np.empty(len(s))
+            for i in range(0, len(s), rows):
+                c = s[i:i + rows]
+                np.sum(c.real**2 + c.imag**2, axis=(1, 2), out=sums[i:i + rows])
+            powers.append(sums)
     else:
         svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
         if p == np.inf:

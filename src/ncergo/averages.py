@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._numeric import DEFAULT_BUDGET, kahan_cumsum
+from ._numeric import CHUNK_BYTES, DEFAULT_BUDGET, kahan_cumsum
 from .algebra import Algebra, Box, Element, validate_multi_index, volume
 from .contraction import LinearOperator, cesaro_limit_projection
 from .errors import BudgetError, StructuralError
@@ -168,21 +168,18 @@ def _iterate_powers(mats: list[np.ndarray], x0: np.ndarray, upper: tuple[int, ..
 def _walk_slabs(mats: list[np.ndarray], x0: np.ndarray, grid: np.ndarray) -> int:
     """Fill grid[k - 1] = T^k x over the box [1, grid.shape[:-1]], slab by slab.
 
-    Axis 1 is walked by matrix-vector products into grid[:, 0, ..., 0].
-    Each later axis j then advances the whole filled slab of axes before
-    it, one matrix product per step, writing step s into grid[..., s, 0, ...]
-    (step 0 overwrites the slab it starts from). Until axis j is walked, the
-    slab holds power 0 of that axis and of every later one. Counts one map
-    application per row advanced, which is the per-point walk's count.
+    x is written at the first point; each axis j then advances the whole
+    filled slab of axes before it, one matrix product per step, writing
+    step s into grid[..., s, 0, ...] (step 0 overwrites the slab it starts
+    from). Until axis j is walked, the slab holds power 0 of that axis and
+    of every later one. A grid with no box axes (shape (dim,)) receives x.
+    Counts one map application per row advanced, which is the per-point
+    walk's count.
     """
     upper, dim = grid.shape[:-1], grid.shape[-1]
-    first = grid.reshape(upper[0], -1, dim)[:, 0]
-    v = x0
-    for t in range(upper[0]):
-        v = mats[0] @ v
-        first[t] = v
-    count = upper[0]
-    for j in range(1, len(upper)):
+    grid.reshape(-1, dim)[0] = x0
+    count = 0
+    for j in range(len(upper)):
         lead = volume(upper[:j])
         view = grid.reshape(lead, upper[j], -1, dim)
         step = mats[j].T
@@ -228,11 +225,18 @@ def weighted_average_grid(
     box: Box,
     budget: int = DEFAULT_BUDGET,
 ) -> AverageFamily:
-    """All A_N for N in the box, via compensated prefix sums.
+    """All A_N for N in the box, via compensated prefix sums in one stream.
 
-    Needs O(points of [1, box.upper]) map applications in total, walked as
-    whole slabs (one matrix product per step of each axis after the first),
-    then one compensated cumulative sum per axis.
+    Needs O(points of [1, box.upper]) map applications in total. Axes
+    1..d-1 are walked into a lead slab (one matrix product per step of each
+    axis, see _walk_slabs); the last axis is then walked on from it in
+    chunks of slabs of about CHUNK_BYTES. Each chunk is weighted, summed
+    along axes 1..d-1 in place, summed along the last axis with the
+    (total, compensation) pair carried from the chunk before, and divided
+    by |N| into the family. Every entry sees the same operations in the
+    same order as a whole-grid walk followed by one compensated cumulative
+    sum per axis, so the averages are bitwise those; only a chunk, not the
+    grid over [1, box.upper], is held besides the family.
     """
     _check_inputs(a, maps, x)
     if box.dim != len(maps):
@@ -245,18 +249,52 @@ def weighted_average_grid(
         )
     alg = x.algebra
     dim = alg.basis_size
-    grid = np.empty(upper + (dim,), dtype=np.complex128)
-    apps = _walk_slabs(_transfer_stack(maps), alg.vec(x), grid)
-    grid *= eval_weight_box(a, upper)[..., None]
-    for axis in range(len(upper)):
-        grid = kahan_cumsum(grid, axis)
-    vols = reduce(
+    mats = _transfer_stack(maps)
+    slab = np.empty(upper[:-1] + (dim,), dtype=np.complex128)
+    apps = _walk_slabs(mats[:-1], alg.vec(x), slab)
+    last, step = upper[-1], mats[-1].T
+    apps += volume(upper[:-1]) * last
+    # the last axis comes first in chunks, weights and volumes: chunk[t] is a slab
+    w = np.moveaxis(eval_weight_box(a, upper), -1, 0)
+    vols = np.moveaxis(reduce(
         np.multiply.outer,
         [np.arange(1, u + 1, dtype=np.float64) for u in upper],
-    ).reshape(upper)
-    grid /= vols[..., None]
-    sel = tuple(slice(l - 1, u) for l, u in zip(box.lower, box.upper))
-    return AverageFamily(alg, box, grid[sel], "grid", apps)
+    ).reshape(upper), -1, 0)
+    sel = (slice(None),) + tuple(
+        slice(l - 1, u) for l, u in zip(box.lower[:-1], upper[:-1])
+    )
+    first = box.lower[-1] - 1
+    data = np.empty(box.shape + (dim,), dtype=np.complex128)
+    out = np.moveaxis(data, -2, 0)
+    # chunks of at least two slabs, and no one-slab tail: numpy rounds an
+    # in-place complex multiply over one element differently from its bulk
+    # loop, so a chunk may hold a single element only when the grid does
+    size = min(last, max(2, CHUNK_BYTES // slab.nbytes))
+    ends = list(range(size, last, size)) + [last]
+    if len(ends) > 1 and ends[-1] - ends[-2] == 1:
+        del ends[-2]
+    # slabs are walked as 2-D (points, dim) products, as in _walk_slabs: a
+    # stacked matmul would take another BLAS route and round differently
+    rows = slab.reshape(-1, dim)
+    chunk = np.empty((min(size + 1, last),) + rows.shape, dtype=np.complex128)
+    carry: list = []
+    for s0, s1 in zip([0] + ends[:-1], ends):
+        c = chunk[:s1 - s0]
+        prev = rows
+        for t in range(len(c)):
+            np.matmul(prev, step, out=c[t])
+            prev = c[t]
+        rows[...] = prev
+        c = c.reshape((len(c),) + slab.shape)
+        c *= w[s0:s1, ..., None]
+        for axis in range(1, len(upper)):
+            kahan_cumsum(c, axis, out=c)
+        kahan_cumsum(c, 0, out=c, carry=carry)
+        lo = max(first, s0)
+        if lo < s1:
+            np.divide(c[lo - s0:][sel], vols[lo:s1][sel][..., None],
+                      out=out[lo - first:s1 - first])
+    return AverageFamily(alg, box, data, "grid", apps)
 
 
 def weighted_average_factorized(

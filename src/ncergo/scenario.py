@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import time
@@ -63,7 +64,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.4"
+TOOL_VERSION = "0.1.5"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -697,8 +698,11 @@ class _RunState:
         return self.x
 
 
-def _index_str(n: Sequence[int]) -> str:
-    return "(" + ",".join(str(int(v)) for v in n) + ")"
+def _index_labels(axes: Sequence[Sequence[int]]) -> list[str]:
+    """"(i,j,...)" labels of every index in the product of the axes' values,
+    in lexicographic order; each value is formatted once per axis."""
+    strs = [[str(int(v)) for v in axis] for axis in axes]
+    return ["(" + ",".join(idx) + ")" for idx in itertools.product(*strs)]
 
 
 def _run_verify(state: _RunState) -> TaskResult:
@@ -737,8 +741,9 @@ def _run_besicovitch(state: _RunState) -> TaskResult:
     )
     audited = sup_bound(cfg.weight, Box.full(cfg.besicovitch_cutoff))
     rows = tuple(
-        (_index_str(r.upper), r.min_coordinate, int(np.prod(r.upper)),
-         r.discrepancy, r.discrepancy < rep.epsilon, "kahan-prefix")
+        (_index_labels([(v,) for v in r.upper])[0], r.min_coordinate,
+         int(np.prod(r.upper)), r.discrepancy, r.discrepancy < rep.epsilon,
+         "kahan-prefix")
         for r in rep.rows
     )
     table = Table("besicovitch", _TABLE_COLUMNS["besicovitch"], rows)
@@ -777,10 +782,13 @@ def _run_average(state: _RunState) -> TaskResult:
     else:
         state.shifted = fam.minus_constant(limit.value)
         residuals = stack_lp_norm(alg, state.shifted.block_stacks(), 2.0).tolist()
+    labels = _index_labels([
+        range(lo, hi + 1) for lo, hi in zip(fam.box.lower, fam.box.upper)
+    ])
     rows = tuple(
-        (_index_str(n), "grid", re, im, norm, residual)
-        for n, re, im, norm, residual in zip(
-            fam.box.indices(), tr.real.tolist(), tr.imag.tolist(), norms, residuals
+        (label, "grid", re, im, norm, residual)
+        for label, re, im, norm, residual in zip(
+            labels, tr.real.tolist(), tr.imag.tolist(), norms, residuals
         )
     )
     table = Table("averages", _TABLE_COLUMNS["averages"], rows)

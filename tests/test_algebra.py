@@ -1,10 +1,13 @@
 """Element arithmetic, norms, decompositions, and the text format."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncergo import algebra
 from ncergo._rng import generator
 from ncergo.algebra import (
     Algebra,
@@ -224,9 +227,11 @@ def reference_lp_norm(alg, blocks, p):
     data=st.data(),
     n=st.integers(1, 20),
     p=st.sampled_from((1.0, 1.5, 2.0, 3.0, np.inf)),
+    chunk_bytes=st.sampled_from((1, 100, 1000, 4 << 20)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p, seed):
+def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p,
+                                                      chunk_bytes, seed):
     weights = data.draw(st.lists(
         st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
         min_size=len(dims), max_size=len(dims)), label="weights")
@@ -240,7 +245,9 @@ def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p, seed):
         s[rng.random(n) < 0.2] = -0.0  # all-zero members, with signed zeros
         stacks.append(s)
     traces = stack_trace(alg, stacks)
-    norms = stack_lp_norm(alg, stacks, p)
+    # p = 2 sums a chunk of members at a time, of any length
+    with mock.patch.object(algebra, "CHUNK_BYTES", chunk_bytes):
+        norms = stack_lp_norm(alg, stacks, p)
     assert traces.shape == norms.shape == (n,)
     for k in range(n):
         blocks = [s[k] for s in stacks]

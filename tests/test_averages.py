@@ -1,12 +1,18 @@
 """Weighted averages: three evaluation routes, limits, and splits."""
 
+import tracemalloc
+from functools import reduce
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncergo import averages
+from ncergo._numeric import kahan_cumsum
 from ncergo._rng import generator
-from ncergo.algebra import Algebra, Box, Projection, lp_norm, trace
+from ncergo.algebra import Algebra, Box, Projection, lp_norm, trace, volume
 from ncergo.averages import (
     _iterate_powers,
     _walk_slabs,
@@ -27,7 +33,7 @@ from ncergo.contraction import (
     substochastic,
 )
 from ncergo.errors import BudgetError
-from ncergo.weights import TrigPolynomial, TrigTerm
+from ncergo.weights import TrigPolynomial, TrigTerm, eval_weight_box
 
 
 def diag_projection(alg, block, idxs):
@@ -158,13 +164,46 @@ def test_three_routes_agree_property(dims, d, terms, n, seed):
     assert (direct - grid).max_abs() <= tol
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def whole_grid_pipeline(a, mats, x0, box):
+    """The grid evaluator as one pass per stage over the whole grid on
+    [1, box.upper]: walk, weight, one compensated sum per axis, divide."""
+    upper = box.upper
+    grid = np.empty(upper + (len(x0),), dtype=np.complex128)
+    _walk_slabs(mats, x0, grid)
+    grid *= eval_weight_box(a, upper)[..., None]
+    for axis in range(len(upper)):
+        grid = kahan_cumsum(grid, axis)
+    vols = reduce(
+        np.multiply.outer,
+        [np.arange(1, u + 1, dtype=np.float64) for u in upper],
+    ).reshape(upper)
+    grid /= vols[..., None]
+    return grid[tuple(slice(l - 1, u) for l, u in zip(box.lower, upper))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-    n=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    n=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+    chunk=st.integers(1, 4),
+    last=st.sampled_from(["one", "below", "at", "across"]),
+    extra=st.integers(0, 8),
+    lower_seed=st.integers(0, 2**32 - 1),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_slab_walk_matches_per_point_walk(dims, n, seed):
+# one-element slabs (a 1x1 algebra, every axis but the last of length 1),
+# where a one-slab chunk would make numpy round the in-place weight
+# multiply differently
+@example(dims=[1], n=[], chunk=1, last="across", extra=4, lower_seed=0, seed=3)
+@example(dims=[1], n=[1], chunk=2, last="across", extra=0, lower_seed=0, seed=1)
+def test_slab_walk_matches_per_point_walk(dims, n, chunk, last, extra,
+                                          lower_seed, seed):
+    # d = len(n) + 1 axes; the last one is 1 long, or below, at or across
+    # the chunk length: CHUNK_BYTES is patched to `chunk` slabs, and chunks
+    # hold at least two
+    length = max(chunk, 2)
+    n = n + [{"one": 1, "below": length - 1, "at": length,
+              "across": length + 1 + extra}[last]]
     rng = np.random.default_rng(seed)
     alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
     x = alg.random_element(rng, kind="general")
@@ -182,9 +221,41 @@ def test_slab_walk_matches_per_point_walk(dims, n, seed):
     count = _walk_slabs(mats, alg.vec(x), grid)
     assert count == ref_count
     assert np.abs(grid - ref).max() <= 1e-12 * (1.0 + x.max_abs())
-    fam = weighted_average_grid(TrigPolynomial.constant(len(n)), maps, x,
-                                Box.full(upper))
+    # the streamed grid evaluator is bitwise the whole-grid pipeline, on a
+    # box whose lower corner is above 1 on some axes
+    lows = np.random.default_rng(lower_seed)
+    box = Box(tuple(int(lows.integers(1, min(u, 3) + 1)) for u in upper), upper)
+    a = TrigPolynomial(len(n), tuple(
+        TrigTerm(complex(*rng.uniform(-1.0, 1.0, size=2)),
+                 tuple(rng.uniform(0.0, 2 * np.pi, size=len(n))))
+        for _ in range(2)
+    ))
+    slab_bytes = volume(upper[:-1]) * alg.basis_size * 16
+    with mock.patch.object(averages, "CHUNK_BYTES", chunk * slab_bytes):
+        fam = weighted_average_grid(a, maps, x, box)
+    want = whole_grid_pipeline(a, mats, alg.vec(x), box)
+    assert fam.raw().shape == want.shape
+    assert fam.raw().tobytes() == want.tobytes()
     assert fam.applications == ref_count
+
+
+def test_grid_peak_memory_is_bounded_by_the_family():
+    # the grid over [1, upper] is streamed in chunks, never held whole: the
+    # peak traced allocation stays within 1.5x the family's own bytes
+    alg = Algebra((8, 8))
+    rng = generator(12, "mem")
+    x = alg.random_element(rng, kind="general")
+    maps = [random_map(alg, rng) for _ in range(2)]
+    box = Box.full((64, 128))
+    tracemalloc.start()
+    try:
+        fam = weighted_average_grid(trig_weight(2, 12), maps, x, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    family_bytes = fam.raw().nbytes
+    assert family_bytes >= 8 * 2**20
+    assert peak <= 1.5 * family_bytes
 
 
 def test_grid_family_consistent_across_boxes():

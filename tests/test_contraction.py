@@ -10,6 +10,7 @@ from ncergo.algebra import Algebra, Element, Projection
 from ncergo.contraction import (
     apply_power,
     cesaro_limit_projection,
+    choi_blocks,
     choi_matrix,
     composition,
     construct_contraction,
@@ -489,11 +490,26 @@ def test_closed_forms_match_probed_reference(dims, single, seed):
     def fn(x):
         return reference_apply(spec, x)
 
+    choi = choi_matrix(t)
     pairs = ((t.transfer_matrix(), probed_transfer(alg, fn)),
-             (choi_matrix(t), probed_choi(alg, fn)))
+             (choi, probed_choi(alg, fn)))
     for got, want in pairs:
         if has_composition(spec):
             # a matrix product sums in another order than applying in turn
             assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
         else:
             assert np.array_equal(got, want)
+    # entry ((i, r), (j, c)) lies in a block pair when i, j share a block and
+    # r, c share a block; every other entry is an exact zero
+    block_of = np.repeat(np.arange(len(dims)), dims)
+    pair = (block_of[:, None] * len(dims) + block_of[None, :]).reshape(-1)
+    outside = pair[:, None] != pair[None, :]
+    assert not np.any(choi[outside])
+    assert [b.shape[0] for b in choi_blocks(t)] == [
+        d_in * d_out for d_in in dims for d_out in dims]
+    full_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    rep = verify_absolute_contraction(t)
+    if len(dims) == 1:
+        assert rep.choi_min_eig == full_min
+    else:
+        assert abs(rep.choi_min_eig - full_min) <= 1e-12 * (1.0 + np.abs(choi).max())

@@ -273,15 +273,6 @@ class Element:
             self.algebra, [b.conj().T for b in self.blocks], self.hermitian_hint
         )
 
-    def real_part(self) -> "Element":
-        return Element(self.algebra, [(b + b.conj().T) / 2 for b in self.blocks], True)
-
-    def imag_part(self) -> "Element":
-        """Hermitian y with x = real_part(x) + i y."""
-        return Element(
-            self.algebra, [(b - b.conj().T) / 2j for b in self.blocks], True
-        )
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_algebra(self, other: "Element"):
@@ -345,6 +336,58 @@ def stack_hermitian_deviation(
         dev = dev_b if dev is None else np.maximum(dev, dev_b)
         mag = mag_b if mag is None else np.maximum(mag, mag_b)
     return dev, mag
+
+
+def stack_hermitian_part(s: np.ndarray) -> np.ndarray:
+    """(x + x*) / 2 for every matrix x in a (..., d, d) stack."""
+    return (s + np.conj(np.swapaxes(s, -1, -2))) / 2
+
+
+def stack_eig_map(s: np.ndarray, f) -> np.ndarray:
+    """f applied to the eigenvalues of every Hermitian matrix in s (..., d, d).
+
+    One batched eigh, which reads each matrix's lower triangle only.
+    """
+    lam, v = np.linalg.eigh(s)
+    return (v * f(lam)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def stack_positive_part(s: np.ndarray) -> np.ndarray:
+    """Positive part of every Hermitian matrix in s (..., d, d).
+
+    Callers holding general matrices take stack_hermitian_part first.
+    """
+    return stack_eig_map(s, lambda lam: np.maximum(lam, 0.0))
+
+
+def stack_is_positive(stacks: Sequence[np.ndarray], tol: float = 1e-10) -> np.ndarray:
+    """Per-member positivity over (n, d_b, d_b) stacks.
+
+    Member k passes when it is Hermitian within tol (relative, as
+    Element.is_hermitian) and every block's Hermitian part has smallest
+    eigenvalue >= -tol. Only members that pass the Hermitian test are
+    decomposed.
+    """
+    dev, mag = stack_hermitian_deviation(stacks)
+    ok = dev <= tol * (1.0 + mag)
+    for s in stacks:
+        idx = np.flatnonzero(ok)
+        if idx.size:
+            ok[idx] = np.linalg.eigvalsh(stack_hermitian_part(s[idx]))[:, 0] >= -tol
+    return ok
+
+
+def stack_four_positives(s: np.ndarray) -> np.ndarray:
+    """Four positives of every matrix in a (n, d, d) stack, member-major.
+
+    Rows 4k ... 4k+3 of the (4n, d, d) result are x0 ... x3 of member k,
+    with x = x0 + i x1 - x2 - i x3: the positive and negative parts of the
+    Hermitian real and imaginary parts.
+    """
+    adj = np.conj(np.swapaxes(s, -1, -2))
+    re, im = (s + adj) / 2, (s - adj) / 2j
+    parts = np.stack((re, im, -re, -im), axis=1)
+    return stack_positive_part(stack_hermitian_part(parts)).reshape((-1,) + s.shape[1:])
 
 
 def stack_trace(alg: Algebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -473,11 +516,12 @@ def eigenvalues_weighted(x: Element) -> list[tuple[float, float]]:
 
 
 def positive_part(x: Element) -> Element:
-    out = []
-    for eig, vecs in hermitian_eig(x):
-        lam = np.maximum(eig, 0.0)
-        out.append((vecs * lam) @ vecs.conj().T)
-    return Element(x.algebra, out, True)
+    """Positive part of the Hermitian part of x."""
+    return Element(
+        x.algebra,
+        [stack_positive_part(stack_hermitian_part(s))[0] for s in _member_stacks(x)],
+        True,
+    )
 
 
 def negative_part(x: Element) -> Element:
@@ -486,22 +530,13 @@ def negative_part(x: Element) -> Element:
 
 
 def is_positive(x: Element, tol: float = 1e-10) -> bool:
-    if not x.is_hermitian(tol):
-        return False
-    return all(
-        float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) >= -tol for b in x.blocks
-    )
+    return bool(stack_is_positive(_member_stacks(x), tol)[0])
 
 
 def decompose_four_positives(x: Element) -> tuple[Element, Element, Element, Element]:
     """Four positives (x0, x1, x2, x3) with x = x0 + i x1 - x2 - i x3."""
-    re, im = x.real_part(), x.imag_part()
-    return (
-        positive_part(re),
-        positive_part(im),
-        negative_part(re),
-        negative_part(im),
-    )
+    parts = [stack_four_positives(s) for s in _member_stacks(x)]
+    return tuple(Element(x.algebra, [p[j] for p in parts], True) for j in range(4))
 
 
 def spectral_projection(x: Element, interval: tuple[float, float]) -> Projection:

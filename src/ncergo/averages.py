@@ -80,9 +80,6 @@ class AverageFamily:
         for idx in self.box.indices():
             yield idx, self.value(idx)
 
-    def elements(self) -> list[Element]:
-        return [el for _, el in self.items()]
-
     def raw(self) -> np.ndarray:
         return self._data
 

@@ -23,6 +23,7 @@ from .algebra import (
     lp_norm,
     spectral_projection,
     stack_hermitian_deviation,
+    stack_hermitian_part,
 )
 from .averages import AverageFamily
 from .errors import IntegrityError, StructuralError
@@ -131,14 +132,15 @@ def certify_bau(
     if epsilon is not None and not 0.0 < float(epsilon) < total:
         raise ValueError(f"epsilon must lie in (0, {total}), got {epsilon}")
 
-    dev, mag = stack_hermitian_deviation(residuals.block_stacks())
+    stacks = residuals.block_stacks()
+    dev, mag = stack_hermitian_deviation(stacks)
     scale = 1.0 + float(mag.max(initial=0.0))
     if np.any(dev > 1e-8 * scale * (1.0 + mag)):
         raise StructuralError(
             "residuals must be Hermitian; split complex residuals first "
             "(certify_bau_complex does this)"
         )
-    re_stacks = residuals.hermitian_split()[0].block_stacks()
+    re_stacks = [stack_hermitian_part(s) for s in stacks]
     flags: list[str] = []
     onset = min(residuals.box.lower)
 
@@ -252,20 +254,19 @@ def onset_ladder(
     onsets,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    complex_split: bool = False,
 ) -> tuple[BauCertificate, ...]:
     """Certificates for a ladder of tail onsets (decay evidence for tail_sup).
 
-    Onsets beyond the family's box are skipped. Shrinking the tail can only
-    shrink the dominant, so lam is nonincreasing along the ladder up to
-    solver tolerance.
+    Every onset is certified through the Hermitian parts of the residuals
+    (certify_bau_complex). Onsets beyond the family's box are skipped.
+    Shrinking the tail can only shrink the dominant, so lam is nonincreasing
+    along the ladder up to solver tolerance.
     """
     top = min(residuals.box.upper)
-    certify = certify_bau_complex if complex_split else certify_bau
     certs = []
     for onset in sorted({int(v) for v in onsets}):
         if onset > top:
             continue
         tail = residuals.restrict(tail_box(residuals, onset))
-        certs.append(certify(tail, p, epsilon, tol=tol, max_iter=max_iter))
+        certs.append(certify_bau_complex(tail, p, epsilon, tol, max_iter))
     return tuple(certs)

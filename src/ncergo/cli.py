@@ -16,9 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NcError
 from .scenario import (
-    TASK_ORDER,
     TOOL_VERSION,
-    _TASK_DEPS,
     emit_report,
     report_to_text,
     run_scenario,
@@ -76,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", parents=[common],
                             help="tail smallness certificates")
     p_cert.add_argument("--epsilon", type=float, default=None)
-    p_cert.add_argument("--lambda", type=float, default=None, dest="lam")
     p_cert.add_argument("--onsets", type=_int_list, default=None,
                         metavar="N1,N2,...")
 
@@ -116,25 +113,9 @@ def _collect_overrides(args) -> list[tuple[tuple[str, ...], object]]:
     elif args.command == "certify":
         if args.epsilon is not None:
             overrides.append((("certify", "epsilon"), args.epsilon))
-        if args.lam is not None:
-            overrides.append((("certify", "lambda"), args.lam))
         if args.onsets is not None:
             overrides.append((("certify", "onsets"), args.onsets))
     return overrides
-
-
-def _dependency_closure(task: str) -> list[str]:
-    wanted: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in wanted:
-            return
-        wanted.add(name)
-        for dep in _TASK_DEPS[name]:
-            visit(dep)
-
-    visit(task)
-    return [t for t in TASK_ORDER if t in wanted]
 
 
 def main(argv=None) -> int:
@@ -150,7 +131,7 @@ def main(argv=None) -> int:
         for keys, value in _collect_overrides(args):
             _apply_override(data, keys, value)
         config = scenario_from_dict(data, base_dir=path.parent)
-        tasks = None if args.command == "run" else _dependency_closure(args.command)
+        tasks = None if args.command == "run" else [args.command]
         report = run_scenario(config, tasks)
     except NcError as exc:
         print(f"error: {exc}", file=sys.stderr)

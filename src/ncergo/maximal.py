@@ -37,11 +37,15 @@ from .algebra import (
     Algebra,
     Box,
     Element,
-    decompose_four_positives,
     is_positive,
     lp_norm,
+    stack_eig_map,
+    stack_four_positives,
     stack_hermitian_deviation,
+    stack_hermitian_part,
+    stack_is_positive,
     stack_lp_norm,
+    stack_positive_part,
     volume,
 )
 from .averages import ergodic_average_family
@@ -80,25 +84,9 @@ class DominantReport:
 # ---------------------------------------------------------------------------
 # block-stack helpers (Hermitian work arrays, one stack per block)
 
-def _herm(b: np.ndarray) -> np.ndarray:
-    return (b + np.conj(np.swapaxes(b, -1, -2))) / 2
-
-
-def _stack_elements(family: Sequence[Element]) -> tuple[Algebra, list[np.ndarray]]:
-    fam = list(family)
-    if not fam:
-        raise StructuralError("dominant element needs a nonempty family")
-    alg = fam[0].algebra
-    for x in fam:
-        if x.algebra != alg:
-            raise StructuralError("family members live in different algebras")
-    return alg, [
-        np.stack([x.blocks[b] for x in fam]) for b in range(alg.num_blocks)
-    ]
-
-
-def _check_stacks(alg: Algebra, raw: list[np.ndarray]) -> None:
-    """Shapes (n, d_b, d_b) with a common n >= 1, finite, Hermitian per member."""
+def _family_stacks(alg: Algebra, family: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The family's complex stacks: shapes (n, d_b, d_b), common n >= 1, finite."""
+    raw = [np.asarray(s, dtype=np.complex128) for s in family]
     if len(raw) != alg.num_blocks:
         raise StructuralError(
             f"expected {alg.num_blocks} block stacks, got {len(raw)}"
@@ -112,12 +100,8 @@ def _check_stacks(alg: Algebra, raw: list[np.ndarray]) -> None:
         if not np.all(np.isfinite(s)):
             raise NumericError("non-finite entries in a block stack")
     if n == 0:
-        raise StructuralError("dominant element needs a nonempty family")
-    dev, mag = stack_hermitian_deviation(raw)
-    if np.any(dev > 1e-8 * (1.0 + mag)):
-        raise StructuralError(
-            "family members must be Hermitian; split complex elements first"
-        )
+        raise StructuralError("the family must be nonempty")
+    return raw
 
 
 def _offdiag_max(s: np.ndarray) -> float:
@@ -125,19 +109,9 @@ def _offdiag_max(s: np.ndarray) -> float:
     return float(np.where(np.eye(s.shape[-1], dtype=bool), 0.0, np.abs(s)).max())
 
 
-def _eig_map(s: np.ndarray, f) -> np.ndarray:
-    """f applied to the eigenvalues of every Hermitian matrix in s (..., d, d)."""
-    lam, v = np.linalg.eigh(s)
-    return (v * f(lam)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-
-
-def _psd(s: np.ndarray) -> np.ndarray:
-    return _eig_map(s, lambda lam: np.maximum(lam, 0.0))
-
-
 def _margins_full(a_blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
     """Per-family-member min eigenvalue of a - x_k, across all blocks."""
-    return np.minimum.reduce([np.linalg.eigvalsh(_herm(a_b[None] - x_b))[:, 0]
+    return np.minimum.reduce([np.linalg.eigvalsh(stack_hermitian_part(a_b[None] - x_b))[:, 0]
                               for a_b, x_b in zip(a_blocks, stacks)])
 
 
@@ -269,9 +243,9 @@ def _solve_dual(
 
     def a_of(rho: list[np.ndarray]) -> list[np.ndarray]:
         if p == 1.0:
-            return [_psd(c + (r.sum(axis=0) - np.eye(c.shape[-1])) / mu)
+            return [stack_positive_part(c + (r.sum(axis=0) - np.eye(c.shape[-1])) / mu)
                     for c, r in zip(center, rho)]
-        return [_eig_map(r.sum(axis=0), lambda lam: np.maximum(lam, 0.0) ** (q - 1.0))
+        return [stack_eig_map(r.sum(axis=0), lambda lam: np.maximum(lam, 0.0) ** (q - 1.0))
                 for r in rho]
 
     def norm_q(rho: list[np.ndarray]) -> float:  # ||S||_q
@@ -284,7 +258,7 @@ def _solve_dual(
     # eigenvalue, scaled to the best multiple (p > 1) or to ||S||_inf = 1
     work = [_top_member(stacks, bound, scale)[0]]
     x_w = [x_b[work] for x_b in stacks]
-    rho = [_psd(x) for x in x_w]
+    rho = [stack_positive_part(x) for x in x_w]
     s_norm = norm_q(rho)
     if s_norm > 0.0:
         c = 1.0 / s_norm if p == 1.0 else (_tau_pair(x_w, rho, wts) / s_norm**q) ** (p - 1.0)
@@ -328,7 +302,7 @@ def _solve_dual(
         it += 1
         grad = [x - a_b[None] for x, a_b in zip(x_w, a_y)]
         while True:
-            cand = [_psd(yb + step * gb) for yb, gb in zip(y, grad)]
+            cand = [stack_positive_part(yb + step * gb) for yb, gb in zip(y, grad)]
             a_c = a_of(cand)
             d_rho = [c - yb for c, yb in zip(cand, y)]
             moved = _tau_pair(d_rho, d_rho, wts)
@@ -364,7 +338,7 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
         coef = np.cos(seed_coef * steps)[:, None, None]
         # sequential over members from 0, like sum() over a list
         basis = [
-            np.linalg.eigh(_herm(np.add.reduce(coef * s, axis=0, initial=0)))[1]
+            np.linalg.eigh(stack_hermitian_part(np.add.reduce(coef * s, axis=0, initial=0)))[1]
             for s in raw
         ]
         # the residual test stops at the first chunk of members that fails
@@ -379,31 +353,32 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
 # dominant element
 
 def dominant_element(
-    family,
+    family: Sequence[np.ndarray],
     p: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
     *,
-    algebra: Algebra | None = None,
+    algebra: Algebra,
 ) -> DominantReport:
     """Smallest-norm positive element dominating every family member.
 
-    family is a sequence of Elements or, when algebra is given, the per-block
-    stacks (n, d_b, d_b) of n members (as AverageFamily.block_stacks()
-    returns them); both inputs give the same report. Exact for p = inf,
-    single elements, and families with a joint eigenbasis; otherwise the
-    dual solver (see _solve_dual) runs until the verified relative gap is at
-    most tol or max_iter steps are spent. The reported norm belongs to a
-    verified feasible dominant, the lower bound to the dual certificate the
-    report carries.
+    family holds the per-block stacks (n, d_b, d_b) of n Hermitian members
+    of algebra, as AverageFamily.block_stacks() returns them; strided views
+    and contiguous copies give the same report. Exact for p = inf, single
+    elements, and families with a joint eigenbasis; otherwise the dual
+    solver (see _solve_dual) runs until the verified relative gap is at most
+    tol or max_iter steps are spent. The reported norm belongs to a verified
+    feasible dominant, the lower bound to the dual certificate the report
+    carries.
     """
-    if algebra is None:
-        alg, raw = _stack_elements(family)
-    else:
-        alg, raw = algebra, [np.asarray(s, dtype=np.complex128) for s in family]
-    _check_stacks(alg, raw)
+    alg, raw = algebra, _family_stacks(algebra, family)
+    dev, mag = stack_hermitian_deviation(raw)
+    if np.any(dev > 1e-8 * (1.0 + mag)):
+        raise StructuralError(
+            "family members must be Hermitian; split complex elements first"
+        )
     wts = alg.trace_weights
-    stacks = [_herm(s) for s in raw]
+    stacks = [stack_hermitian_part(s) for s in raw]
     n_members = stacks[0].shape[0]
     size = max(float(np.abs(s).max()) for s in stacks)
     scale = 1.0 + size
@@ -436,11 +411,10 @@ def dominant_element(
         raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
 
     if n_members == 1:
-        x = alg.element([s[0] for s in raw])
-        if is_positive(x, 1e-10):
-            a = x
+        if stack_is_positive(raw, 1e-10)[0]:
+            a = alg.element([s[0] for s in raw])
         else:
-            a = alg.element([_psd(s[0]) for s in stacks], True)
+            a = alg.element([stack_positive_part(s[0]) for s in stacks], True)
         norm = lp_norm(a, p)
         return finish(a, norm, norm, 0, True, "single_exact")
 
@@ -465,40 +439,37 @@ def dominant_element(
 
 
 def sup_plus_norm(
-    family: Sequence[Element],
+    family: Sequence[np.ndarray],
     p: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
+    *,
+    algebra: Algebra,
 ) -> float:
-    """Dominant norm of the family.
+    """Dominant norm of the family, given as per-block stacks (n, d_b, d_b).
 
     Positive families are passed through as-is. General families are split
     member-by-member into four positives and the dominant is taken over the
     combined positive family: an upper-bound convention, reported as such
     wherever this value surfaces.
     """
-    return _sup_plus(family, p, tol, max_iter)[0]
+    return _sup_plus(_family_stacks(algebra, family), algebra, p, tol, max_iter)[0]
 
 
 def _sup_plus(
-    family: Sequence[Element], p: float, tol: float, max_iter: int
+    raw: list[np.ndarray], alg: Algebra, p: float, tol: float, max_iter: int
 ) -> tuple[float, int]:
     """(sup_plus_norm, iterations of the dominant solve behind it)."""
-    fam = list(family)
-    if not fam:
-        raise StructuralError("sup_plus_norm needs a nonempty family")
-    if all(is_positive(x, 1e-8) for x in fam):
-        rep = dominant_element(fam, p, tol, max_iter)
+    if np.all(stack_is_positive(raw, 1e-8)):
+        rep = dominant_element(raw, p, tol, max_iter, algebra=alg)
         return rep.norm, rep.iterations
-    scale = max(x.max_abs() for x in fam)
-    parts = []
-    for x in fam:
-        for part in decompose_four_positives(x):
-            if part.max_abs() > 1e-14 * (1.0 + scale):
-                parts.append(part)
-    if not parts:
+    scale = max(float(np.abs(s).max()) for s in raw)
+    parts = [stack_four_positives(s) for s in raw]
+    mag = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in parts])
+    keep = np.flatnonzero(mag > 1e-14 * (1.0 + scale))
+    if not keep.size:
         return 0.0, 0
-    rep = dominant_element(parts, p, tol, max_iter)
+    rep = dominant_element([s[keep] for s in parts], p, tol, max_iter, algebra=alg)
     return rep.norm, rep.iterations
 
 
@@ -638,37 +609,35 @@ class InterpolationReport:
     dominant_q: float
     slack: float
     passed: bool
-    box: Box | None
     iterations: int  # of both dominant solves
 
 
 def interpolation_check(
-    family: Sequence[Element],
+    family: Sequence[np.ndarray],
     p: float,
     q: float,
-    box: Box | None = None,
     slack: float = 1e-6,
     tol: float = 1e-8,
     max_iter: int = 10000,
+    *,
+    algebra: Algebra,
 ) -> InterpolationReport:
     """Check the dominant-norm interpolation bound between levels q < p.
 
-    Verifies sup-norm_p <= (sup_k ||x_k||_inf)^(1-q/p) * (sup-norm_q)^(q/p)
-    up to relative slack covering optimization tolerance. The box is carried
-    as provenance of where the family was sampled.
+    family holds per-block stacks (n, d_b, d_b). Verifies
+    sup-norm_p <= (sup_k ||x_k||_inf)^(1-q/p) * (sup-norm_q)^(q/p)
+    up to relative slack covering optimization tolerance.
     """
     p, q = float(p), float(q)
     if not (1.0 <= q < p) or not np.isfinite(p):
         raise ValueError(f"interpolation needs 1 <= q < p < inf, got q={q}, p={p}")
-    fam = list(family)
-    if not fam:
-        raise StructuralError("interpolation check needs a nonempty family")
-    lhs, iters_p = _sup_plus(fam, p, tol, max_iter)
-    ess = max(lp_norm(x, np.inf) for x in fam)
-    dom_q, iters_q = _sup_plus(fam, q, tol, max_iter)
+    raw = _family_stacks(algebra, family)
+    lhs, iters_p = _sup_plus(raw, algebra, p, tol, max_iter)
+    ess = float(stack_lp_norm(algebra, raw, np.inf).max())
+    dom_q, iters_q = _sup_plus(raw, algebra, q, tol, max_iter)
     theta = q / p
     rhs = ess ** (1.0 - theta) * dom_q**theta
     passed = lhs <= rhs * (1.0 + slack) + 1e-15
     return InterpolationReport(
-        p, q, lhs, rhs, ess, dom_q, slack, passed, box, iters_p + iters_q
+        p, q, lhs, rhs, ess, dom_q, slack, passed, iters_p + iters_q
     )

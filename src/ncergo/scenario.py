@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -168,6 +168,17 @@ _DEFAULT_TOLERANCES = {
     "interpolation_slack": 1e-6,
 }
 
+# keys of the nested object blocks; box also has a bare upper-corner form
+_NESTED_KEYS = {
+    "algebra": {"block_dims", "trace_weights"},
+    "box": {"lower", "upper"},
+    "weight": {"terms", "perturbation", "bound", "approximants", "normalize"},
+    "besicovitch": {"epsilon", "cutoff", "onset", "ladder"},
+    "certify": {"epsilon", "onsets"},
+    "interpolation": {"q", "cutoff"},
+    "tolerances": set(_DEFAULT_TOLERANCES),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -186,7 +197,6 @@ class ScenarioConfig:
     besicovitch_onset: int
     besicovitch_ladder: tuple[tuple[int, ...], ...] | None
     certify_epsilon: float
-    certify_lambda: float | None
     certify_onsets: tuple[int, ...]
     interpolation_q: float | None
     interpolation_cutoff: int
@@ -195,7 +205,6 @@ class ScenarioConfig:
     default_tasks: tuple[str, ...]
     digest: str
     base_dir: str
-    raw: dict = field(repr=False)
 
 
 def _as_complex(v) -> complex:
@@ -401,6 +410,9 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ScenarioConfig
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
     unknown = set(data) - _TOP_KEYS
+    for block, keys in _NESTED_KEYS.items():
+        if isinstance(data.get(block), dict):
+            unknown |= {f"{block}.{k}" for k in set(data[block]) - keys}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("algebra", "contractions", "weight", "element", "p", "box"):
@@ -483,7 +495,6 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ScenarioConfig
         if "onsets" in cert
         else _default_onsets(box)
     )
-    cert_lambda = cert.get("lambda")
 
     interp = data.get("interpolation")
     interp_q = None
@@ -520,7 +531,6 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ScenarioConfig
         besicovitch_onset=int(bes.get("onset", 1)),
         besicovitch_ladder=bes_ladder,
         certify_epsilon=float(cert.get("epsilon", 0.01)),
-        certify_lambda=None if cert_lambda is None else float(cert_lambda),
         certify_onsets=cert_onsets,
         interpolation_q=interp_q,
         interpolation_cutoff=interp_cutoff,
@@ -529,20 +539,16 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ScenarioConfig
         default_tasks=tasks,
         digest=config_digest(data),
         base_dir=str(base_dir),
-        raw=data,
     )
 
 
-def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
-    """Parse a scenario file; overrides replace top-level keys before parsing."""
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Parse a scenario file."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if overrides:
-        data = dict(data)
-        data.update(overrides)
     return scenario_from_dict(data, base_dir=path.parent)
 
 
@@ -834,9 +840,9 @@ def _run_maximal(state: _RunState) -> TaskResult:
             state.budget,
         )
         irep = interpolation_check(
-            small.elements(), cfg.p, cfg.interpolation_q, box=small.box,
+            small.block_stacks(), cfg.p, cfg.interpolation_q,
             slack=cfg.tolerances["interpolation_slack"],
-            tol=cfg.tolerances["dominant"],
+            tol=cfg.tolerances["dominant"], algebra=small.algebra,
         )
         state.map_applications += small.applications
         state.dominant_iterations += irep.iterations
@@ -863,7 +869,7 @@ def _run_certify(state: _RunState) -> TaskResult:
         )
     certs = onset_ladder(
         state.shifted, cfg.p, cfg.certify_epsilon, cfg.certify_onsets,
-        tol=cfg.tolerances["dominant"], complex_split=True,
+        tol=cfg.tolerances["dominant"],
     )
     if not certs:
         raise ConfigError("certify onset ladder is empty inside the box")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import stacks_of
 from ncergo._rng import generator
 from ncergo.algebra import (
     Algebra,
@@ -319,7 +320,7 @@ def test_criterion_05_dominant_oracles():
         ])
         oracle_el = diag_el(alg, np.maximum(stacked.max(axis=0), 0.0))
         for p in (1.0, 2.0, 4.0):
-            rep = dominant_element(fam, p)
+            rep = dominant_element(stacks_of(fam), p, algebra=alg)
             ref = lp_norm(oracle_el, p)
             worst_rel = max(worst_rel, abs(rep.norm - ref) / max(ref, 1e-30))
     assert worst_rel <= 1e-6
@@ -328,7 +329,7 @@ def test_criterion_05_dominant_oracles():
     for p in (1.0, 2.0, 4.0, np.inf):
         alg = Algebra((3,))
         x = alg.random_element(generator(42, "gate5-single"), kind="positive")
-        assert dominant_element([x], p).norm == lp_norm(x, p)
+        assert dominant_element(stacks_of([x]), p, algebra=alg).norm == lp_norm(x, p)
 
     # 45-degree projection pair in M2 against the dense grid search; the
     # trace optimum has the closed form 1 + sin(pi/4)
@@ -336,7 +337,7 @@ def test_criterion_05_dominant_oracles():
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p45 = np.full((2, 2), 0.5, dtype=complex)
     fam = [alg.element([p0]), alg.element([p45])]
-    rep = dominant_element(fam, 1.0, tol=1e-10)
+    rep = dominant_element(stacks_of(fam), 1.0, tol=1e-10, algebra=alg)
     closed = 1.0 + np.sin(np.pi / 4)
     oracle = grid_oracle_2x2([p0.real, p45.real], 1.0)
     assert abs(rep.norm - closed) <= 1e-6
@@ -386,9 +387,7 @@ def test_criterion_07_bau_certificates():
     fam = weighted_average_grid(cfg.weight, maps, x, cfg.box, cfg.budget)
     resid = fam.minus_constant(limit_oracle(cfg.weight, maps, x).value)
 
-    certs = onset_ladder(
-        resid, cfg.p, cfg.certify_epsilon, cfg.certify_onsets, complex_split=True
-    )
+    certs = onset_ladder(resid, cfg.p, cfg.certify_epsilon, cfg.certify_onsets)
     assert certs, "no certificates produced"
     for cert in certs:
         assert cert.sound
@@ -483,7 +482,7 @@ def test_criterion_10_interpolation():
         alg = Algebra(SHAPES[i % 4])
         fam = [alg.random_element(rng, kind="positive") for _ in range(2 + i % 4)]
         for p, q in ((4.0, 2.0), (3.0, 1.5)):
-            rep = interpolation_check(fam, p, q, slack=1e-6)
+            rep = interpolation_check(stacks_of(fam), p, q, slack=1e-6, algebra=alg)
             assert rep.passed, f"trial {i} (p={p}, q={q}): {rep.lhs} > {rep.rhs}"
             worst = min(worst, (rep.rhs - rep.lhs) / rep.rhs)
     print(f"criterion 10: 200 checks hold, tightest relative margin {worst:.2e}")

@@ -24,12 +24,17 @@ from ncergo.algebra import (
     negative_part,
     positive_part,
     spectral_projection,
+    stack_four_positives,
+    stack_hermitian_part,
+    stack_is_positive,
     stack_lp_norm,
+    stack_positive_part,
     stack_trace,
     trace,
     volume,
 )
 from ncergo.errors import NumericError, StructuralError
+from ncergo.maximal import dominant_element, sup_plus_norm
 
 SHAPES = [(2,), (3,), (2, 2), (3, 2)]
 
@@ -261,6 +266,92 @@ def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p,
             assert abs(float(norms[k]) - via_svd) <= 1e-14 * via_svd
         x = alg.element(blocks)
         assert trace(x) == ref_tr and lp_norm(x, p) == float(norms[k])
+
+
+# the per-Element positivity code the stack kernels replaced, as the oracle
+
+def oracle_positive_part(b):
+    lam, v = np.linalg.eigh((b + b.conj().T) / 2)
+    return (v * np.maximum(lam, 0.0)) @ v.conj().T
+
+
+def oracle_four_positives(b):
+    re, im = (b + b.conj().T) / 2, (b - b.conj().T) / 2j
+    return [oracle_positive_part(m) for m in (re, im, -re, -im)]
+
+
+def oracle_is_positive(blocks, tol):
+    dev = max(float(np.abs(b - b.conj().T).max()) for b in blocks)
+    mag = max(float(np.abs(b).max()) for b in blocks)
+    if dev > tol * (1.0 + mag):
+        return False
+    return all(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) >= -tol
+               for b in blocks)
+
+
+def oracle_sup_plus(alg, members, p):
+    """The per-Element loop: parts of every member, stacked, then solved."""
+    if all(oracle_is_positive(m, 1e-8) for m in members):
+        parts = members
+    else:
+        scale = max(float(np.abs(b).max()) for m in members for b in m)
+        parts = []
+        for m in members:
+            for part in zip(*(oracle_four_positives(b) for b in m)):
+                if max(float(np.abs(b).max()) for b in part) > 1e-14 * (1.0 + scale):
+                    parts.append(part)
+        if not parts:
+            return 0.0
+    stacks = [np.stack([part[b] for part in parts]) for b in range(alg.num_blocks)]
+    return dominant_element(stacks, p, algebra=alg).norm
+
+
+def kernel_members(alg, rng, kinds):
+    return [alg.random_element(rng, kind=kind, scale=float(10.0 ** rng.uniform(-3, 3)))
+            for kind in kinds]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+    kinds=st.lists(st.sampled_from(("general", "hermitian", "positive")),
+                   min_size=1, max_size=6),
+    tol=st.sampled_from((1e-10, 1e-8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_positivity_kernels_match_element_code_bitwise(dims, kinds, tol, seed):
+    alg = Algebra(dims)
+    members = kernel_members(alg, np.random.default_rng(seed), kinds)
+    stacks = [np.stack([x.blocks[b] for x in members]) for b in range(len(dims))]
+    decided = stack_is_positive(stacks, tol)
+    pos_stacks = [stack_positive_part(stack_hermitian_part(s)) for s in stacks]
+    parts = [stack_four_positives(s) for s in stacks]
+    for k, x in enumerate(members):
+        assert decided[k] == oracle_is_positive(x.blocks, tol) == is_positive(x, tol)
+        pos = positive_part(x)
+        four = decompose_four_positives(x)
+        for b, s in enumerate(stacks):
+            want = oracle_positive_part(s[k])
+            assert pos_stacks[b][k].tobytes() == pos.blocks[b].tobytes() == want.tobytes()
+            for j, want in enumerate(oracle_four_positives(s[k])):
+                assert parts[b][4 * k + j].tobytes() == want.tobytes()
+                assert four[j].blocks[b].tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    kinds=st.lists(st.sampled_from(("general", "hermitian", "positive")),
+                   min_size=1, max_size=4),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sup_plus_norm_matches_element_loop_bitwise(dims, kinds, p, seed):
+    alg = Algebra(dims)
+    members = kernel_members(alg, np.random.default_rng(seed), kinds)
+    stacks = [np.stack([x.blocks[b] for x in members]) for b in range(len(dims))]
+    want = oracle_sup_plus(alg, [x.blocks for x in members], p)
+    assert sup_plus_norm(stacks, p, algebra=alg) == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stacks_of
 from ncergo._rng import generator
 from ncergo.algebra import Algebra, Box, Element, is_positive, lp_norm, positive_part
 from ncergo.averages import AverageFamily
@@ -86,7 +87,7 @@ def test_single_positive_is_bitwise_exact():
     alg = Algebra((3,))
     rng = generator(0, "sp")
     x = alg.random_element(rng, kind="positive")
-    rep = dominant_element([x], p=2.0)
+    rep = dominant_element(stacks_of([x]), p=2.0, algebra=alg)
     assert rep.method == "single_exact"
     assert rep.iterations == 0
     assert (rep.dominant - x).max_abs() == 0.0
@@ -97,7 +98,7 @@ def test_single_positive_is_bitwise_exact():
 def test_single_general_takes_positive_part():
     alg = Algebra((2,))
     x = diag_el(alg, [2.0, -3.0])
-    rep = dominant_element([x], p=1.0)
+    rep = dominant_element(stacks_of([x]), p=1.0, algebra=alg)
     assert (rep.dominant - positive_part(x)).max_abs() < 1e-12
     assert rep.norm == pytest.approx(2.0, abs=1e-12)
 
@@ -106,7 +107,7 @@ def test_infinity_path_is_scaled_identity():
     alg = Algebra((2,))
     e11 = diag_el(alg, [1.0, 0.0])
     e22 = diag_el(alg, [0.0, 1.0])
-    rep = dominant_element([e11, e22], p=np.inf)
+    rep = dominant_element(stacks_of([e11, e22]), p=np.inf, algebra=alg)
     assert rep.method == "infinity_exact"
     assert rep.norm == pytest.approx(1.0, abs=1e-12)
     assert (rep.dominant - alg.identity()).max_abs() < 1e-12
@@ -115,7 +116,7 @@ def test_infinity_path_is_scaled_identity():
 def test_commuting_diagonal_family_exact():
     alg = Algebra((2,))
     fam = [diag_el(alg, [3.0, 1.0]), diag_el(alg, [2.0, 2.0])]
-    rep = dominant_element(fam, p=1.0)
+    rep = dominant_element(stacks_of(fam), p=1.0, algebra=alg)
     assert rep.method == "commuting_exact"
     assert rep.iterations == 0
     assert rep.norm == pytest.approx(5.0, abs=1e-12)
@@ -131,7 +132,7 @@ def test_commuting_shared_eigenbasis_exact():
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     mats = [u @ np.diag(v) @ u.T for v in ([3.0, -1.0], [2.0, 2.0], [-5.0, 1.5])]
     fam = [alg.element([m.astype(complex)]) for m in mats]
-    rep = dominant_element(fam, p=2.0)
+    rep = dominant_element(stacks_of(fam), p=2.0, algebra=alg)
     assert rep.method == "commuting_exact"
     want = np.linalg.norm([3.0, 2.0])  # entrywise max of spectra, clamped
     assert rep.norm == pytest.approx(want, abs=1e-10)
@@ -140,15 +141,15 @@ def test_commuting_shared_eigenbasis_exact():
 def test_validation_errors():
     alg = Algebra((2,))
     with pytest.raises(StructuralError):
-        dominant_element([], p=2.0)
+        dominant_element([np.zeros((0, 2, 2), dtype=complex)], p=2.0, algebra=alg)
     other = Algebra((3,))
-    with pytest.raises(StructuralError):
-        dominant_element([alg.identity(), other.identity()], p=2.0)
+    with pytest.raises(StructuralError):  # a member of another algebra
+        dominant_element(stacks_of([other.identity()]), p=2.0, algebra=alg)
     skew = alg.element([np.array([[0, 1], [0, 0]], dtype=complex)])
     with pytest.raises(StructuralError):
-        dominant_element([skew], p=2.0)
+        dominant_element(stacks_of([skew]), p=2.0, algebra=alg)
     with pytest.raises(ValueError):
-        dominant_element([alg.identity()], p=0.5)
+        dominant_element(stacks_of([alg.identity()]), p=0.5, algebra=alg)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_two_projections_45_degrees():
     x1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     x2 = np.full((2, 2), 0.5)
     fam = [alg.element([x1.astype(complex)]), alg.element([x2.astype(complex)])]
-    rep = dominant_element(fam, p=1.0, tol=1e-10)
+    rep = dominant_element(stacks_of(fam), p=1.0, tol=1e-10, algebra=alg)
     # closed form for the trace optimum: 1 + sin(pi/4)
     assert rep.norm == pytest.approx(1.0 + np.sin(np.pi / 4), abs=1e-6)
     assert rep.gap <= 1e-3
@@ -179,7 +180,7 @@ def test_noncommuting_seeded_vs_grid_oracle():
             mats.append((m + m.T) / 2)
         fam = [alg.element([m.astype(complex)]) for m in mats]
         for p in (1.0, 2.0):
-            rep = dominant_element(fam, p=p, tol=1e-10)
+            rep = dominant_element(stacks_of(fam), p=p, tol=1e-10, algebra=alg)
             oracle = grid_oracle_2x2(mats, p)
             assert rep.norm <= oracle + 2e-3
             assert rep.norm >= rep.lower_bound - 1e-12
@@ -203,7 +204,7 @@ def test_diagonal_oracle_seeded():
                 off += d
             fam.append(alg.element(blocks))
         p = (1.0, 2.0, 4.0)[seed % 3]
-        rep = dominant_element(fam, p=p)
+        rep = dominant_element(stacks_of(fam), p=p, algebra=alg)
         want = diag_oracle_norm(alg, vectors, p)
         assert rep.norm == pytest.approx(want, rel=1e-6, abs=1e-9)
 
@@ -224,7 +225,7 @@ def test_feasibility_and_bracket_seeded():
         alg = Algebra((2, 2), (1.0, 0.5)) if seed % 2 else Algebra((3,))
         fam = random_family(alg, rng, 3 + seed % 3)
         p = (1.5, 2.0, 3.0, np.inf)[seed % 4]
-        rep = dominant_element(fam, p=p)
+        rep = dominant_element(stacks_of(fam), p=p, algebra=alg)
         assert rep.feasibility_margin >= -1e-7
         for x in fam:
             assert dominates(rep.dominant, x, tol=1e-7)
@@ -281,8 +282,8 @@ def test_duplicates_do_not_change_answer():
     alg = Algebra((2,))
     rng = generator(21, "dup")
     fam = random_family(alg, rng, 3)
-    a = dominant_element(fam, p=2.0)
-    b = dominant_element(fam + fam, p=2.0)
+    a = dominant_element(stacks_of(fam), p=2.0, algebra=alg)
+    b = dominant_element(stacks_of(fam + fam), p=2.0, algebra=alg)
     assert b.norm == pytest.approx(a.norm, rel=1e-6)
 
 
@@ -291,9 +292,9 @@ def test_scaling_equivariance():
     rng = generator(22, "scl")
     fam = random_family(alg, rng, 3)
     for p in (2.0, 1.0):
-        a = dominant_element(fam, p=p)
+        a = dominant_element(stacks_of(fam), p=p, algebra=alg)
         for factor in (2.5, 1e-6, 1e6):
-            b = dominant_element([factor * x for x in fam], p=p)
+            b = dominant_element(stacks_of([factor * x for x in fam]), p=p, algebra=alg)
             assert b.norm == pytest.approx(factor * a.norm, rel=1e-5)
 
 
@@ -301,8 +302,8 @@ def test_monotone_in_members():
     alg = Algebra((2,))
     rng = generator(23, "mono")
     fam = random_family(alg, rng, 4)
-    small = dominant_element(fam[:2], p=2.0)
-    big = dominant_element(fam, p=2.0)
+    small = dominant_element(stacks_of(fam[:2]), p=2.0, algebra=alg)
+    big = dominant_element(stacks_of(fam), p=2.0, algebra=alg)
     # certified bracket ordering: the lower bound of the subfamily cannot
     # exceed the norm of the larger one
     assert small.lower_bound <= big.norm + 1e-9
@@ -319,7 +320,7 @@ def test_active_set_many_members():
         u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         scale = float(rng.uniform(0.2, 1.0))
         fam.append(alg.element([(scale * u @ base @ u.T).astype(complex)]))
-    rep = dominant_element(fam, p=2.0)
+    rep = dominant_element(stacks_of(fam), p=2.0, algebra=alg)
     for x in fam:
         assert dominates(rep.dominant, x, tol=1e-6)
     assert rep.norm >= max(lp_norm(positive_part(x), 2.0) for x in fam) - 1e-6
@@ -332,14 +333,15 @@ def test_sup_plus_single():
     alg = Algebra((2,))
     rng = generator(26, "sps")
     x = alg.random_element(rng, kind="positive")
-    assert sup_plus_norm([x], 2.0) == pytest.approx(lp_norm(x, 2.0), abs=1e-10)
+    assert sup_plus_norm(stacks_of([x]), 2.0, algebra=alg) == pytest.approx(
+        lp_norm(x, 2.0), abs=1e-10)
 
 
 def test_sup_plus_general_bounds_members():
     alg = Algebra((2,))
     rng = generator(27, "spg")
     fam = random_family(alg, rng, 3)
-    v = sup_plus_norm(fam, 2.0)
+    v = sup_plus_norm(stacks_of(fam), 2.0, algebra=alg)
     assert np.isfinite(v)
     assert v >= max(lp_norm(positive_part(x), 2.0) for x in fam) - 1e-8
 
@@ -399,7 +401,7 @@ def test_interpolation_projection_is_tight():
     # for a single projection both sides coincide, so the check is exact
     alg = Algebra((4,))
     e = alg.element([np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)])
-    rep = interpolation_check([e], p=4.0, q=2.0)
+    rep = interpolation_check(stacks_of([e]), p=4.0, q=2.0, algebra=alg)
     assert rep.passed
     assert rep.lhs == pytest.approx(rep.rhs, rel=1e-9)
 
@@ -410,20 +412,21 @@ def test_interpolation_seeded_positive_families():
         alg = Algebra((2, 2), (1.0, 0.5)) if seed % 2 else Algebra((3,))
         fam = [alg.random_element(rng, kind="positive") for _ in range(3)]
         for p, q in ((4.0, 2.0), (3.0, 1.5)):
-            rep = interpolation_check(fam, p=p, q=q)
+            rep = interpolation_check(stacks_of(fam), p=p, q=q, algebra=alg)
             assert rep.passed, (seed, p, q, rep.lhs, rep.rhs)
 
 
 def test_interpolation_validates_exponents():
     alg = Algebra((2,))
+    one = stacks_of([alg.identity()])
     with pytest.raises(ValueError):
-        interpolation_check([alg.identity()], p=2.0, q=2.0)
+        interpolation_check(one, p=2.0, q=2.0, algebra=alg)
     with pytest.raises(ValueError):
-        interpolation_check([alg.identity()], p=2.0, q=np.inf)
+        interpolation_check(one, p=2.0, q=np.inf, algebra=alg)
 
 
 # ---------------------------------------------------------------------------
-# stack input: the same solve as the list input, bit for bit
+# stack input: strided views give the solve of contiguous copies, bit for bit
 
 FAMILY_KINDS = ("diagonal", "commuting", "noncommuting", "active_set")
 SHAPES = (((2,), (1.0,)), ((3,), (0.5,)), ((2, 1), (1.0, 0.25)))
@@ -446,6 +449,16 @@ def stack_family(kind, seed, dims, n):
             s = (g + np.conj(np.swapaxes(g, -1, -2))) / 4
         stacks.append(np.asarray(s, dtype=complex))
     return stacks
+
+
+def family_views(alg, stacks):
+    """The stacks as the strided views an AverageFamily over them hands out."""
+    n = stacks[0].shape[0]
+    fam = AverageFamily(
+        alg, Box.full((n,)),
+        np.concatenate([s.reshape(n, -1) for s in stacks], axis=1), "synthetic",
+    )
+    return fam.block_stacks()
 
 
 def assert_same_report(a, b):
@@ -478,13 +491,10 @@ def test_stack_input_matches_list_input(kind, shape, seed, p, data):
     alg = Algebra(dims, weights)
     stacks = stack_family(kind, seed, dims, n)
     # an AverageFamily hands out strided read-only views, as the ladder uses
-    fam = AverageFamily(
-        alg, Box.full((n,)),
-        np.concatenate([s.reshape(n, -1) for s in stacks], axis=1), "synthetic",
-    )
-    from_list = dominant_element(fam.elements(), p)
-    from_stacks = dominant_element(fam.block_stacks(), p, algebra=alg)
-    assert_same_report(from_list, from_stacks)
+    views = family_views(alg, stacks)
+    from_copies = dominant_element([s.copy() for s in views], p, algebra=alg)
+    from_stacks = dominant_element(views, p, algebra=alg)
+    assert_same_report(from_copies, from_stacks)
     if kind in ("diagonal", "commuting"):
         assert from_stacks.method == "commuting_exact"
     else:
@@ -494,12 +504,11 @@ def test_stack_input_matches_list_input(kind, shape, seed, p, data):
 def test_stack_input_single_and_infinity_routes():
     alg = Algebra((2, 1), (1.0, 0.5))
     for kind, n in (("noncommuting", 1), ("noncommuting", 5)):
-        stacks = stack_family(kind, 11, alg.block_dims, n)
-        members = [alg.element([s[k] for s in stacks]) for k in range(n)]
+        views = family_views(alg, stack_family(kind, 11, alg.block_dims, n))
         for p in (2.0, np.inf):
             assert_same_report(
-                dominant_element(members, p),
-                dominant_element(stacks, p, algebra=alg),
+                dominant_element([s.copy() for s in views], p, algebra=alg),
+                dominant_element(views, p, algebra=alg),
             )
 
 
@@ -537,8 +546,8 @@ def test_dual_bound_above_norm_raises_beyond_rounding(monkeypatch):
     from ncergo import maximal
 
     alg = Algebra((3,))
-    fam = random_family(alg, generator(41, "bracket"), 4)
-    rep = dominant_element(fam, 2.0)
+    fam = stacks_of(random_family(alg, generator(41, "bracket"), 4))
+    rep = dominant_element(fam, 2.0, algebra=alg)
     assert rep.method == "dual_fista"
     solve = maximal._solve_dual
 
@@ -550,10 +559,10 @@ def test_dual_bound_above_norm_raises_beyond_rounding(monkeypatch):
 
     # an excess within rounding is clamped onto the norm
     monkeypatch.setattr(maximal, "_solve_dual", inflated(1 + 1e-13))
-    assert dominant_element(fam, 2.0).lower_bound == rep.norm
+    assert dominant_element(fam, 2.0, algebra=alg).lower_bound == rep.norm
     monkeypatch.setattr(maximal, "_solve_dual", inflated(1.01))
     with pytest.raises(NumericError, match="dual_fista.*exceeds"):
-        dominant_element(fam, 2.0)
+        dominant_element(fam, 2.0, algebra=alg)
 
 
 @pytest.mark.parametrize("seed, cutoffs", [(7, [8, 16]), (10, [4, 8])],

@@ -1,15 +1,19 @@
 """Scenario configs, deterministic reports, emitted files, and the CLI."""
 
+import ast
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncergo
 from ncergo.cli import main as cli_main
 from ncergo.errors import ConfigError
 from ncergo.scenario import (
+    ScenarioConfig,
     canonical_json,
     config_digest,
     emit_report,
@@ -87,6 +91,41 @@ def test_digest_tracks_content():
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError):
         scenario_from_dict(small_config(bogus=1))
+
+
+@pytest.mark.parametrize("block, key", [
+    ("algebra", "block_dim"),
+    ("box", "uper"),
+    ("weight", "normalise"),
+    ("besicovitch", "cutof"),
+    ("certify", "epsilom"),
+    ("certify", "lambda"),
+    ("interpolation", "cutof"),
+    ("tolerances", "dominnat"),
+])
+def test_unknown_nested_key_rejected(block, key):
+    # a misspelled nested key would otherwise leave its default in force
+    data = small_config(box={"upper": [8, 8]}, interpolation={"q": 1.5},
+                        tolerances={"dominant": 1e-8})
+    scenario_from_dict(copy.deepcopy(data))
+    data[block][key] = 1
+    with pytest.raises(ConfigError, match=rf"'{block}\.{key}'"):
+        scenario_from_dict(data)
+
+
+def test_every_config_field_is_read():
+    # a ScenarioConfig field that no code reads is a knob that does nothing
+    read = set()
+    for path in Path(ncergo.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        read |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in called
+        }
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert fields - read == set()
 
 
 def test_missing_required_key_rejected():
@@ -446,6 +485,7 @@ def test_cli_certify_override(tmp_path, capsys):
     )
     assert rc == 0
     parsed = parse_report(capsys.readouterr().out)
+    assert [t.name for t in parsed.tasks] == ["verify", "average", "certify"]
     certify = [t for t in parsed.tasks if t.name == "certify"][0]
     rows = certify.tables[0].rows
     assert [r[0] for r in rows] == [1, 2]

@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncergo import bau, maximal
-from ncergo.algebra import Algebra, spectral_projection
+from ncergo.algebra import (
+    Algebra,
+    spectral_projection,
+    stack_hermitian_part,
+    stack_positive_part,
+)
 from ncergo.maximal import FEAS_TOL, JOINT_CHUNK
 from ncergo.scenario import run_scenario, scenario_from_dict
 
@@ -51,7 +56,7 @@ def screen_family(kind, seed, dims, n):
 def full_margins(a_blocks, stacks):
     # unscreened: every member's min eigenvalue of a - x_k, across blocks
     return np.minimum.reduce([
-        np.linalg.eigvalsh(maximal._herm(a_b[None] - x_b))[:, 0]
+        np.linalg.eigvalsh(stack_hermitian_part(a_b[None] - x_b))[:, 0]
         for a_b, x_b in zip(a_blocks, stacks)
     ])
 
@@ -81,8 +86,8 @@ def trial_dominants(kind, stacks, top, rng):
     if kind == "top_perturbed":
         return [top * i + 1e-10 * hermitian(rng, i.shape) for i in eyes]
     if kind == "sum_positive":  # dominates everything with room to spare
-        return [maximal._psd(x_b).sum(axis=0) for x_b in stacks]
-    return [maximal._psd(x_b[0]) for x_b in stacks]  # violated by most members
+        return [stack_positive_part(x_b).sum(axis=0) for x_b in stacks]
+    return [stack_positive_part(x_b[0]) for x_b in stacks]  # violated by most members
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

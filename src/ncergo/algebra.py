@@ -33,14 +33,6 @@ def format_float(v: float) -> str:
 # ---------------------------------------------------------------------------
 # multi-indices and boxes
 
-def min_coordinate(k: Sequence[int]) -> int:
-    return min(k)
-
-
-def max_coordinate(k: Sequence[int]) -> int:
-    return max(k)
-
-
 def volume(k: Sequence[int]) -> int:
     out = 1
     for c in k:

@@ -23,13 +23,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import Algebra, Element, Projection, element_from_text
 from .errors import StructuralError, UnsupportedError
 
 UNITARY_TOL = 1e-10
 KIND_TOL = 1e-10
+# eigenvalues of phase*T within CLUSTER_TOL of 1 count towards the kernel of
+# phase*T - 1; those within WARN_TOL of 1 but outside it are flagged
+CLUSTER_TOL = 1e-10
+WARN_TOL = 1e-8
 
 
 class LinearOperator:
@@ -431,18 +434,19 @@ def apply_power(maps: Sequence[LinearOperator], k: Sequence[int], x: Element) ->
     return y
 
 
-def cesaro_limit_projection(
-    op: LinearOperator,
-    phase: complex = 1.0,
-    cluster_tol: float = 1e-10,
-    warn_tol: float = 1e-8,
-) -> LinearOperator:
-    """Spectral projection of phase*T onto the eigenvalue-1 cluster.
+def cesaro_limit_projection(op: LinearOperator, phase: complex = 1.0) -> LinearOperator:
+    """Mean ergodic projection of phase*T: onto ker(phase T - 1) along its range.
 
     Equals the limit of the one-parameter averages (1/N) sum_k (phase T)^k
-    when phase*T is power bounded; zero when 1 is not in the spectrum.
-    Eigenvalues within warn_tol of 1 but outside cluster_tol are flagged as
-    ill-conditioned in the result's notes.
+    when phase*T is power bounded (von Neumann's mean ergodic theorem); zero
+    when 1 is not an eigenvalue. The kernel dimension k is the number of
+    eigenvalues within CLUSTER_TOL of 1. The right and left kernels V and W
+    are the singular vectors of phase*T - 1 for its k smallest singular
+    values, and the projection is V (W* V)^-1 W* (taken as a pseudo-inverse,
+    which is the inverse whenever 1 is semisimple). Notes flag, without
+    changing k: eigenvalues within WARN_TOL of 1 but outside CLUSTER_TOL, a
+    count of singular values within CLUSTER_TOL other than k, and a W* V with
+    a singular value within CLUSTER_TOL of 0 (eigenvalue 1 not semisimple).
     """
     lam = complex(phase)
     if abs(abs(lam) - 1.0) > 1e-12:
@@ -451,22 +455,31 @@ def cesaro_limit_projection(
     dim = a.shape[0]
     notes = []
     eigs = np.linalg.eigvals(a)
-    annulus = (np.abs(eigs - 1.0) > cluster_tol) & (np.abs(eigs - 1.0) <= warn_tol)
-    for v in eigs[annulus]:
+    dist = np.abs(eigs - 1.0)
+    for v in eigs[(dist > CLUSTER_TOL) & (dist <= WARN_TOL)]:
         notes.append(
             "ill-conditioned separation: eigenvalue %r within %g of 1 but outside %g"
-            % (complex(v), warn_tol, cluster_tol)
+            % (complex(v), WARN_TOL, CLUSTER_TOL)
         )
-    t, z, sdim = scipy.linalg.schur(
-        a, output="complex", sort=lambda v: abs(v - 1.0) <= cluster_tol
-    )
-    if sdim == 0:
+    k = int(np.count_nonzero(dist <= CLUSTER_TOL))
+    u, s, vh = np.linalg.svd(a - np.eye(dim))
+    rank_k = int(np.count_nonzero(s <= CLUSTER_TOL))
+    if rank_k != k:
+        notes.append(
+            f"rank disagreement: {k} eigenvalues within {CLUSTER_TOL:g} of 1 "
+            f"but {rank_k} singular values of phase*T - 1 within it; kept {k}"
+        )
+    if k == 0:
         return LinearOperator(op.algebra, np.zeros((dim, dim)), tuple(notes))
-    if sdim == dim:
+    if k == dim:
         return LinearOperator(op.algebra, np.eye(dim), tuple(notes))
-    t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
-    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    proj[:sdim, :sdim] = np.eye(sdim)
-    proj[:sdim, sdim:] = y
-    return LinearOperator(op.algebra, z @ proj @ z.conj().T, tuple(notes))
+    v, w = vh[dim - k:].conj().T, u[:, dim - k:]
+    gram = w.conj().T @ v  # singular values: cosines between the two kernels
+    cos_min = float(np.linalg.svd(gram, compute_uv=False)[-1])
+    if cos_min <= CLUSTER_TOL:
+        notes.append(
+            f"eigenvalue 1 is not semisimple: W*V has singular value "
+            f"{cos_min!r}; the averages have no limit"
+        )
+    proj = v @ np.linalg.pinv(gram) @ w.conj().T
+    return LinearOperator(op.algebra, proj, tuple(notes))

@@ -453,23 +453,33 @@ def sup_plus_norm(
     combined positive family: an upper-bound convention, reported as such
     wherever this value surfaces.
     """
-    return _sup_plus(_family_stacks(algebra, family), algebra, p, tol, max_iter)[0]
+    stacks = _sup_plus_stacks(_family_stacks(algebra, family))
+    return _sup_plus(stacks, algebra, p, tol, max_iter)[0]
 
 
-def _sup_plus(
-    raw: list[np.ndarray], alg: Algebra, p: float, tol: float, max_iter: int
-) -> tuple[float, int]:
-    """(sup_plus_norm, iterations of the dominant solve behind it)."""
+def _sup_plus_stacks(raw: list[np.ndarray]) -> list[np.ndarray]:
+    """The positive family whose dominant norm is sup_plus_norm.
+
+    raw itself when every member is positive; otherwise the four positives
+    of each member, less those that are negligible against the family
+    (possibly none, giving empty stacks).
+    """
     if np.all(stack_is_positive(raw, 1e-8)):
-        rep = dominant_element(raw, p, tol, max_iter, algebra=alg)
-        return rep.norm, rep.iterations
+        return raw
     scale = max(float(np.abs(s).max()) for s in raw)
     parts = [stack_four_positives(s) for s in raw]
     mag = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in parts])
     keep = np.flatnonzero(mag > 1e-14 * (1.0 + scale))
-    if not keep.size:
+    return [s[keep] for s in parts]
+
+
+def _sup_plus(
+    stacks: list[np.ndarray], alg: Algebra, p: float, tol: float, max_iter: int
+) -> tuple[float, int]:
+    """(dominant norm of _sup_plus_stacks' output, iterations of its solve)."""
+    if not stacks[0].shape[0]:
         return 0.0, 0
-    rep = dominant_element([s[keep] for s in parts], p, tol, max_iter, algebra=alg)
+    rep = dominant_element(stacks, p, tol, max_iter, algebra=alg)
     return rep.norm, rep.iterations
 
 
@@ -632,9 +642,10 @@ def interpolation_check(
     if not (1.0 <= q < p) or not np.isfinite(p):
         raise ValueError(f"interpolation needs 1 <= q < p < inf, got q={q}, p={p}")
     raw = _family_stacks(algebra, family)
-    lhs, iters_p = _sup_plus(raw, algebra, p, tol, max_iter)
+    stacks = _sup_plus_stacks(raw)
+    lhs, iters_p = _sup_plus(stacks, algebra, p, tol, max_iter)
     ess = float(stack_lp_norm(algebra, raw, np.inf).max())
-    dom_q, iters_q = _sup_plus(raw, algebra, q, tol, max_iter)
+    dom_q, iters_q = _sup_plus(stacks, algebra, q, tol, max_iter)
     theta = q / p
     rhs = ess ** (1.0 - theta) * dom_q**theta
     passed = lhs <= rhs * (1.0 + slack) + 1e-15

@@ -64,7 +64,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.5"
+TOOL_VERSION = "0.1.6"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -833,6 +833,7 @@ def _run_maximal(state: _RunState) -> TaskResult:
         "cauchy_gap": rep.cauchy_gap,
         "cauchy_ok": rep.cauchy_ok,
         "truncated": rep.truncated,
+        "unconverged_rungs": sum(not r.converged for r in rep.rows),
     }
     if cfg.interpolation_q is not None:
         small = ergodic_average_family(

@@ -1,13 +1,18 @@
 """Map constructors, verification margins, powers, and mean projections."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncergo._rng import generator
 from ncergo.algebra import Algebra, Element, Projection
 from ncergo.contraction import (
+    CLUSTER_TOL,
     apply_power,
     cesaro_limit_projection,
     choi_blocks,
@@ -278,6 +283,115 @@ def test_cesaro_projection_phase():
     assert np.real(np.trace(p1.transfer_matrix())) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         cesaro_limit_projection(t, phase=0.5)
+
+
+def schur_projection(op, phase=1.0):
+    """Oracle: the eigenvalue-1 spectral projection of phase*T, Schur route.
+
+    A complex Schur form sorted so that the eigenvalues within CLUSTER_TOL of
+    1 lead, then one Sylvester solve for the coupling block.
+    """
+    a = complex(phase) * op.transfer_matrix()
+    dim = a.shape[0]
+    t, z, k = scipy.linalg.schur(
+        a, output="complex", sort=lambda v: abs(v - 1.0) <= CLUSTER_TOL
+    )
+    if k in (0, dim):
+        return np.eye(dim) if k else np.zeros((dim, dim))
+    y = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
+    proj = np.zeros((dim, dim), dtype=complex)
+    proj[:k, :k] = np.eye(k)
+    proj[:k, k:] = y
+    return z @ proj @ z.conj().T
+
+
+def assert_mean_projection(op, phase):
+    """The kernel route matches the Schur oracle and is the mean projection."""
+    got = cesaro_limit_projection(op, phase)
+    p = got.transfer_matrix()
+    a = phase * op.transfer_matrix()
+    assert got.notes == ()
+    assert np.abs(p - schur_projection(op, phase)).max() <= 1e-12
+    assert np.abs(p @ p - p).max() <= 1e-12
+    assert np.abs(a @ p - p).max() <= 1e-12
+    assert np.abs(p @ a - p).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    parts=st.lists(st.sampled_from(["unitary", "diagonal", "pinching", "twisted"]),
+                   min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cesaro_projection_matches_schur_oracle(dims, parts, seed):
+    # convex combinations of conjugations and pinchings are absolute
+    # contractions, hence power bounded; the twisted pinching (a pinching
+    # followed by a diagonal conjugation) keeps unimodular eigenvalues other
+    # than 1, which the phases below move onto 1
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.5, 2.0, size=len(dims))))
+
+    def random_unitary(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(g)
+        return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+    def diagonal():
+        return alg.element([np.diag(np.exp(2j * np.pi * rng.random(d))) for d in dims])
+
+    def pinch():
+        projs = []
+        for b, d in enumerate(dims):
+            cut = int(rng.integers(0, d + 1))
+            projs += [diag_projection(alg, b, range(cut)), diag_projection(alg, b, range(cut, d))]
+        return pinching([q for q in projs if q.element.max_abs() > 0])
+
+    build = {
+        "unitary": lambda: scaled_unitary(alg, alg.element([random_unitary(d) for d in dims])),
+        "diagonal": lambda: scaled_unitary(alg, diagonal()),
+        "pinching": pinch,
+        "twisted": lambda: composition([pinch(), scaled_unitary(alg, diagonal())]),
+    }
+    w = rng.dirichlet(np.ones(len(parts))) * rng.choice([1.0, rng.uniform(0.8, 1.0)])
+    t = convex_combination([(wi, build[kind]()) for wi, kind in zip(w, parts)])
+    eigs = np.linalg.eigvals(t.transfer_matrix())
+    peripheral = eigs[np.abs(np.abs(eigs) - 1.0) <= 1e-9]
+    phases = [1.0, np.exp(2j * np.pi * rng.random())]
+    phases += [np.conj(mu) / abs(mu) for mu in peripheral[:4]]
+    for phase in phases:
+        assert_mean_projection(t, phase)
+
+
+@pytest.mark.parametrize("name", ["pinch_trig_d2", "rate_d1", "rate_d2"])
+def test_cesaro_projection_matches_schur_oracle_on_configs(name):
+    # every (map, phase) pair the limit oracle reaches in the shipped configs
+    from ncergo.scenario import _RunState, scenario_from_dict
+
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = scenario_from_dict(json.loads(path.read_text()))
+    maps = _RunState(cfg, cfg.budget).get_maps()
+    for term in cfg.weight.terms:
+        for t, theta in zip(maps, term.phases):
+            assert_mean_projection(t, np.exp(1j * theta))
+
+
+def test_cesaro_projection_flags_a_jordan_block_without_clamping():
+    # T = J_2(1) ⊕ 1/2 ⊕ 1/2: eigenvalue 1 is double but has one eigenvector,
+    # so T is not power bounded and its averages have no limit
+    alg = Algebra((2,))
+
+    def raw_map(coupling):
+        m = np.diag([1.0, 1.0, 0.5, 0.5]).astype(complex)
+        m[0, 1] = coupling
+        return operator_from_function(alg, lambda x: alg.unvec(m @ alg.vec(x)))
+
+    notes = cesaro_limit_projection(raw_map(1.0)).notes
+    assert any("rank disagreement: 2 eigenvalues" in n and "but 1 singular values" in n
+               and "kept 2" in n for n in notes)
+    assert any("not semisimple" in n for n in notes)
+    # a semisimple eigenvalue 1 of the same multiplicity raises no note
+    assert cesaro_limit_projection(raw_map(0.0)).notes == ()
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,27 @@ def test_interpolation_seeded_positive_families():
             assert rep.passed, (seed, p, q, rep.lhs, rep.rhs)
 
 
+def test_interpolation_splits_a_general_family_once(monkeypatch):
+    # both exponents solve over the same positive family: the positivity
+    # test and the four-positives split run once per block, and each side
+    # equals sup_plus_norm at its exponent
+    from ncergo import maximal
+
+    alg = Algebra((2, 2), (1.0, 0.5))
+    fam = stacks_of(random_family(alg, generator(28, "isp"), 3))
+    calls = {"stack_is_positive": 0, "stack_four_positives": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(maximal, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(maximal, name, counted)
+    rep = interpolation_check(fam, p=4.0, q=2.0, algebra=alg)
+    assert calls == {"stack_is_positive": 1, "stack_four_positives": 2}
+    monkeypatch.undo()
+    assert rep.lhs == sup_plus_norm(fam, 4.0, algebra=alg)
+    assert rep.dominant_q == sup_plus_norm(fam, 2.0, algebra=alg)
+
+
 def test_interpolation_validates_exponents():
     alg = Algebra((2,))
     one = stacks_of([alg.identity()])

@@ -228,6 +228,26 @@ def test_table_columns_pinned():
     )
 
 
+def test_maximal_summary_counts_unconverged_rungs(monkeypatch):
+    # a rung capped before its gap closes shows in the summary, not only in
+    # the rows; the capped rung here is simulated
+    from ncergo import scenario
+
+    def capped_last_rung(*args, **kwargs):
+        rep = maximal_inequality_report(*args, **kwargs)
+        last = dataclasses.replace(rep.rows[-1], converged=False)
+        return dataclasses.replace(rep, rows=rep.rows[:-1] + (last,))
+
+    maximal_inequality_report = scenario.maximal_inequality_report
+    cfg = scenario_from_dict(small_config())
+    assert run_scenario(cfg, tasks=["maximal"]).tasks[1].summary["unconverged_rungs"] == 0
+    monkeypatch.setattr(scenario, "maximal_inequality_report", capped_last_rung)
+    task = run_scenario(cfg, tasks=["maximal"]).tasks[1]
+    assert task.name == "maximal"
+    assert [row[6] for row in task.tables[0].rows] == [True, False]
+    assert task.summary["unconverged_rungs"] == 1
+
+
 def test_csv_formatting():
     from ncergo.scenario import Table
 
@@ -429,6 +449,22 @@ def write_config(tmp_path, data):
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(data))
     return p
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test dependency
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(ncergo.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ncergo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_run_writes_report(tmp_path, capsys):

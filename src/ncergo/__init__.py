@@ -71,9 +71,11 @@ from .maximal import (
     DominantReport,
     InterpolationReport,
     MaximalLadderReport,
+    PreparedFamily,
     dominant_element,
     interpolation_check,
     maximal_inequality_report,
+    prepare_family,
     sup_plus_norm,
 )
 from .scenario import (
@@ -118,8 +120,8 @@ __all__ = [
     "BudgetError", "ConfigError", "IntegrityError", "NcError",
     "NumericError", "StructuralError", "UnsupportedError",
     "DominantReport", "InterpolationReport", "MaximalLadderReport",
-    "dominant_element", "interpolation_check", "maximal_inequality_report",
-    "sup_plus_norm",
+    "PreparedFamily", "dominant_element", "interpolation_check",
+    "maximal_inequality_report", "prepare_family", "sup_plus_norm",
     "RunReport", "ScenarioConfig", "TOOL_VERSION", "emit_report",
     "load_scenario", "parse_report", "report_to_text", "run_scenario",
     "scenario_from_dict",

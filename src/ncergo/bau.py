@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    Algebra,
     Box,
     Projection,
     lp_norm,
@@ -27,7 +28,7 @@ from .algebra import (
 )
 from .averages import AverageFamily
 from .errors import IntegrityError, StructuralError
-from .maximal import dominant_element
+from .maximal import PreparedFamily, _gershgorin, dominant_element
 
 SOUNDNESS_SLACK = 1e-10
 
@@ -67,31 +68,48 @@ class BauCertificate:
         )
 
 
-def _compressed_sup(e: Projection, stacks: list[np.ndarray]) -> float:
+def _reach(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Per block, bounds reach[b][k] >= ||e r_kb e||_2 for every projection e.
+
+    ||e r e||_2 <= ||r||_2, which is at most ||r||_F and at most
+    sqrt(||r||_1 ||r||_inf) (largest column and row abs sums); the smaller
+    is padded by 1e-12 relative for rounding.
+    """
+    reach = []
+    for r_b in stacks:
+        mag = np.abs(r_b)
+        fro = np.sqrt(np.sum(mag * mag, axis=(-2, -1)))
+        cols, rows = mag.sum(axis=-2).max(axis=-1), mag.sum(axis=-1).max(axis=-1)
+        reach.append(np.minimum(fro, np.sqrt(cols * rows)) * (1.0 + 1e-12))
+    return reach
+
+
+def _compressed_sup(e: Projection, stacks: list[np.ndarray], reach=None) -> float:
     """max over the family of ||e r e||_inf, computed blockwise in batch.
 
-    ||e r e||_inf <= ||e r e||_F <= ||r||_F, so a member whose Frobenius
-    norm (padded by 1e-12 relative for rounding) stays below the running max
-    cannot raise it and is not measured. Per block, the member with the
-    largest Frobenius norm is measured first, then every member that could
-    still reach the max; the max carries across blocks. Batched svd works
-    one matrix at a time, so the result is the one an exhaustive sweep gives.
+    reach (by default _reach(stacks)) bounds each member's value, so a
+    member whose reach stays below the running max cannot raise it and is
+    not measured. Per block, the member with the largest reach is measured
+    first, then every member that could still reach the max; the max
+    carries across blocks. Batched svd works one matrix at a time, so the
+    result is the one an exhaustive sweep gives.
     """
+    if reach is None:
+        reach = _reach(stacks)
     worst = 0.0
-    for e_b, r_b in zip(e.element.blocks, stacks):
+    for e_b, r_b, reach_b in zip(e.element.blocks, stacks, reach):
         if r_b.size == 0:
             continue
-        reach = np.sqrt(np.sum(r_b.real**2 + r_b.imag**2, axis=(-2, -1))) * (1.0 + 1e-12)
 
         def top(idx) -> float:
             comp = e_b[None] @ r_b[idx] @ e_b[None]
             return float(np.linalg.svd(comp, compute_uv=False)[:, 0].max())
 
-        first = int(np.argmax(reach))
-        if reach[first] < worst:
+        first = int(np.argmax(reach_b))
+        if reach_b[first] < worst:
             continue
         worst = max(worst, top([first]))
-        cand = np.flatnonzero(reach >= worst)
+        cand = np.flatnonzero(reach_b >= worst)
         cand = cand[cand != first]
         if cand.size:
             worst = max(worst, top(cand))
@@ -107,46 +125,68 @@ def _trace_complement(e: Projection) -> float:
     ))
 
 
-def certify_bau(
-    residuals: AverageFamily,
-    p: float,
-    epsilon: float | None = None,
-    lam: float | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-) -> BauCertificate:
-    """Projection certificate of uniform tail smallness for Hermitian residuals.
+class _PreparedPart:
+    """A Hermitian residual family over its whole box, prepared once.
 
-    Either epsilon (trace budget for 1 - e) or lam (uniform bound) must be
-    given; the other is derived through the Chebyshev bound
-    tau(chi_(lam,inf)(a)) <= (||a||_p / lam)^p for the dominant a of the
-    +-residual family. tail_sup is measured exhaustively on the tested box.
+    dev and mag are the Hermitian check data of the stacks as given
+    (stack_hermitian_deviation), r their Hermitian parts, plus and minus
+    the Gershgorin bounds of +r_k and -r_k, size each r_k's largest |entry|
+    and reach the _reach bounds of r. Every field is per member, in the
+    box's C order, so at a tail's indices it holds bit for bit what
+    preparing the tail's own family would.
     """
+
+    def __init__(self, stacks: list[np.ndarray]):
+        self.dev, self.mag = stack_hermitian_deviation(stacks)
+        self.r = [stack_hermitian_part(s) for s in stacks]
+        self.plus = _gershgorin(self.r)
+        self.minus = _gershgorin([-x for x in self.r])
+        self.size = np.maximum.reduce([np.abs(x).max(axis=(1, 2)) for x in self.r])
+        self.reach = _reach(self.r)
+
+    def plus_minus(self, idx: np.ndarray) -> PreparedFamily:
+        """The members r_k, -r_k interleaved (r_1, -r_1, r_2, ...) for k in idx.
+
+        r_k is exactly Hermitian, so the Hermitian part of -r_k is -r_k
+        with the -0.0 that negation leaves on the imaginary diagonal
+        cleared; the stacks are that, bit for bit.
+        """
+        stacks = []
+        for r_b in self.r:
+            g = r_b[idx]
+            pm = np.stack((g, -g), axis=1).reshape((-1,) + g.shape[1:])
+            diag = np.arange(g.shape[-1])
+            pm.imag[:, diag, diag] = 0.0
+            stacks.append(pm)
+        bound = np.stack((self.plus[idx], self.minus[idx]), axis=1)
+        return PreparedFamily(tuple(stacks), bound.reshape(-1, len(stacks)),
+                              np.repeat(self.size[idx], 2))
+
+
+def _certify_part(
+    part: _PreparedPart, idx: np.ndarray, alg: Algebra, onset: int, p: float,
+    epsilon: float | None, lam: float | None, tol: float, max_iter: int,
+) -> BauCertificate:
+    """certify_bau on the members idx of a prepared family."""
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"certification needs 1 < p < inf, got {p}")
-    alg = residuals.algebra
     total = alg.total_trace()
     if epsilon is None and lam is None:
         raise ValueError("supply epsilon, lam, or both")
     if epsilon is not None and not 0.0 < float(epsilon) < total:
         raise ValueError(f"epsilon must lie in (0, {total}), got {epsilon}")
 
-    stacks = residuals.block_stacks()
-    dev, mag = stack_hermitian_deviation(stacks)
+    dev, mag = part.dev[idx], part.mag[idx]
     scale = 1.0 + float(mag.max(initial=0.0))
     if np.any(dev > 1e-8 * scale * (1.0 + mag)):
         raise StructuralError(
             "residuals must be Hermitian; split complex residuals first "
             "(certify_bau_complex does this)"
         )
-    re_stacks = [stack_hermitian_part(s) for s in stacks]
     flags: list[str] = []
-    onset = min(residuals.box.lower)
 
-    # +-r_n interleaved: r_1, -r_1, r_2, -r_2, ...
-    pm = [np.stack((r, -r), axis=1).reshape((-1,) + r.shape[1:]) for r in re_stacks]
-    rep = dominant_element(pm, p, tol, max_iter, algebra=alg)
+    rep = dominant_element(part.plus_minus(idx), p, tol, max_iter, algebra=alg)
     a = rep.dominant
     if not rep.converged:
         flags.append("bound not tight: dominant solve hit the iteration cap")
@@ -170,11 +210,12 @@ def certify_bau(
 
     e = spectral_projection(a, (-np.inf, lam_val))
     trace_comp = _trace_complement(e)
-    tail_sup = _compressed_sup(e, re_stacks)
+    tail_sup = _compressed_sup(e, [r_b[idx] for r_b in part.r],
+                               [c[idx] for c in part.reach])
 
     cert = BauCertificate(
         e, eps_val, lam_val, p, onset, tail_sup, norm, trace_comp,
-        residuals.box.size, tuple(flags), rep.iterations,
+        len(idx), tuple(flags), rep.iterations,
     )
     if not cert.sound:
         raise IntegrityError(
@@ -184,10 +225,100 @@ def certify_bau(
     return cert
 
 
+def certify_bau(
+    residuals: AverageFamily,
+    p: float,
+    epsilon: float | None = None,
+    lam: float | None = None,
+    tol: float = 1e-8,
+    max_iter: int = 10000,
+) -> BauCertificate:
+    """Projection certificate of uniform tail smallness for Hermitian residuals.
+
+    Either epsilon (trace budget for 1 - e) or lam (uniform bound) must be
+    given; the other is derived through the Chebyshev bound
+    tau(chi_(lam,inf)(a)) <= (||a||_p / lam)^p for the dominant a of the
+    +-residual family. tail_sup is measured exhaustively on the tested box.
+    """
+    return _certify_part(
+        _PreparedPart(residuals.block_stacks()), np.arange(residuals.box.size),
+        residuals.algebra, min(residuals.box.lower), p, epsilon, lam, tol, max_iter,
+    )
+
+
 def _meet(e_r: Projection, e_i: Projection) -> Projection:
     """Range intersection via the eigenvalue-2 eigenspace of e_r + e_i."""
     s = e_r.element + e_i.element
     return spectral_projection(s, (2.0 - 1e-10, np.inf))
+
+
+def _members(box: Box, sub: Box) -> np.ndarray:
+    """Flat indices, in box's C order, of sub's members in sub's C order.
+
+    The order AverageFamily.restrict(sub) keeps.
+    """
+    sel = tuple(slice(l - bl, u - bl + 1)
+                for l, u, bl in zip(sub.lower, sub.upper, box.lower))
+    return np.arange(box.size).reshape(box.shape)[sel].ravel()
+
+
+def _certify_tails(
+    residuals: AverageFamily, p: float, epsilon: float, boxes: list[Box],
+    tol: float, max_iter: int,
+) -> tuple[BauCertificate, ...]:
+    """certify_bau_complex of residuals.restrict(box) for each box.
+
+    The residuals are split into Hermitian parts and each part is prepared
+    once (_PreparedPart); every tail takes its members by index.
+    """
+    if not boxes:
+        return ()
+    alg = residuals.algebra
+    re_part, im_part = (_PreparedPart(f.block_stacks())
+                        for f in residuals.hermitian_split())
+    stacks = residuals.block_stacks()
+    reach = _reach(stacks)
+    mag = np.abs(residuals.raw()).max(axis=-1).ravel()
+    certs = []
+    for box in boxes:
+        idx = _members(residuals.box, box)
+        onset = min(box.lower)
+        scale = 1.0 + float(mag[idx].max(initial=0.0))
+        if float(im_part.mag[idx].max(initial=0.0)) <= 1e-14 * scale:
+            cert = _certify_part(re_part, idx, alg, onset, p, epsilon, None, tol, max_iter)
+            tail_sup = _compressed_sup(cert.e, [s[idx] for s in stacks],
+                                       [c[idx] for c in reach])
+            certs.append(BauCertificate(
+                cert.e, cert.epsilon, cert.lam, cert.p, cert.onset, tail_sup,
+                cert.dominant_norm, cert.trace_complement, cert.tail_size,
+                cert.flags + ("imaginary part negligible; certified the real part",),
+                cert.iterations,
+            ))
+            continue
+        half = float(epsilon) / 2.0
+        cert_r = _certify_part(re_part, idx, alg, onset, p, half, None, tol, max_iter)
+        cert_i = _certify_part(im_part, idx, alg, onset, p, half, None, tol, max_iter)
+        e = _meet(cert_r.e, cert_i.e)
+        trace_comp = _trace_complement(e)
+        lam = cert_r.lam + cert_i.lam
+        tail_sup = _compressed_sup(e, [s[idx] for s in stacks], [c[idx] for c in reach])
+        flags = (
+            "complex residuals split into Hermitian parts; e is the meet of the "
+            "part projections",
+        ) + cert_r.flags + cert_i.flags
+        cert = BauCertificate(
+            e, float(epsilon), lam, float(p), cert_r.onset, tail_sup,
+            cert_r.dominant_norm + cert_i.dominant_norm, trace_comp,
+            len(idx), flags, cert_r.iterations + cert_i.iterations,
+        )
+        if not cert.sound:
+            raise IntegrityError(
+                f"composite certificate failed re-verification: tau(1-e)="
+                f"{trace_comp:.6g} vs epsilon={epsilon:.6g}, tail_sup="
+                f"{tail_sup:.6g} vs lambda={lam:.6g}"
+            )
+        certs.append(cert)
+    return tuple(certs)
 
 
 def certify_bau_complex(
@@ -203,40 +334,7 @@ def certify_bau_complex(
     e_R ^ e_I and the uniform bound is lambda_R + lambda_I. tail_sup is
     re-measured on the original complex residuals.
     """
-    re_fam, im_fam = residuals.hermitian_split()
-    scale = 1.0 + float(np.abs(residuals.raw()).max(initial=0.0))
-    if float(np.abs(im_fam.raw()).max(initial=0.0)) <= 1e-14 * scale:
-        cert = certify_bau(re_fam, p, epsilon, None, tol, max_iter)
-        tail_sup = _compressed_sup(cert.e, residuals.block_stacks())
-        return BauCertificate(
-            cert.e, cert.epsilon, cert.lam, cert.p, cert.onset, tail_sup,
-            cert.dominant_norm, cert.trace_complement, cert.tail_size,
-            cert.flags + ("imaginary part negligible; certified the real part",),
-            cert.iterations,
-        )
-    half = float(epsilon) / 2.0
-    cert_r = certify_bau(re_fam, p, half, None, tol, max_iter)
-    cert_i = certify_bau(im_fam, p, half, None, tol, max_iter)
-    e = _meet(cert_r.e, cert_i.e)
-    trace_comp = _trace_complement(e)
-    lam = cert_r.lam + cert_i.lam
-    tail_sup = _compressed_sup(e, residuals.block_stacks())
-    flags = (
-        "complex residuals split into Hermitian parts; e is the meet of the "
-        "part projections",
-    ) + cert_r.flags + cert_i.flags
-    cert = BauCertificate(
-        e, float(epsilon), lam, float(p), cert_r.onset, tail_sup,
-        cert_r.dominant_norm + cert_i.dominant_norm, trace_comp,
-        residuals.box.size, flags, cert_r.iterations + cert_i.iterations,
-    )
-    if not cert.sound:
-        raise IntegrityError(
-            f"composite certificate failed re-verification: tau(1-e)="
-            f"{trace_comp:.6g} vs epsilon={epsilon:.6g}, tail_sup="
-            f"{tail_sup:.6g} vs lambda={lam:.6g}"
-        )
-    return cert
+    return _certify_tails(residuals, p, epsilon, [residuals.box], tol, max_iter)[0]
 
 
 def tail_box(family: AverageFamily, onset: int) -> Box:
@@ -257,16 +355,14 @@ def onset_ladder(
 ) -> tuple[BauCertificate, ...]:
     """Certificates for a ladder of tail onsets (decay evidence for tail_sup).
 
-    Every onset is certified through the Hermitian parts of the residuals
-    (certify_bau_complex). Onsets beyond the family's box are skipped.
-    Shrinking the tail can only shrink the dominant, so lam is nonincreasing
-    along the ladder up to solver tolerance.
+    Every onset is certified as certify_bau_complex certifies
+    residuals.restrict(tail_box(residuals, onset)), bit for bit. The
+    residuals are split and prepared once for the whole ladder, and each
+    tail takes its members by index, since the tails are nested sub-boxes.
+    Onsets beyond the family's box are skipped. Shrinking the tail can only
+    shrink the dominant, so lam is nonincreasing along the ladder up to
+    solver tolerance.
     """
     top = min(residuals.box.upper)
-    certs = []
-    for onset in sorted({int(v) for v in onsets}):
-        if onset > top:
-            continue
-        tail = residuals.restrict(tail_box(residuals, onset))
-        certs.append(certify_bau_complex(tail, p, epsilon, tol, max_iter))
-    return tuple(certs)
+    boxes = [tail_box(residuals, m) for m in sorted({int(v) for v in onsets}) if m <= top]
+    return _certify_tails(residuals, p, epsilon, boxes, tol, max_iter)

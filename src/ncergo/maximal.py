@@ -19,10 +19,18 @@ False) and still returns a verified bracket.
 
 Sweeps over the whole family measure only the members a cheap rigorous
 bound cannot clear: Gershgorin row bounds on each member's top eigenvalue,
-and Weyl's inequality on each margin lambda_min(a - x_k). Batched LAPACK
-works one matrix at a time, so a member measured alone gets bit for bit the
-value the full batch gives, and every reported number is the one an
-exhaustive sweep gives.
+Weyl's inequality on each margin lambda_min(a - x_k), and, before the
+joint-eigenbasis test reduces the whole family, the commutators of the
+first members with the first one (members that nearly share an eigenbasis
+nearly commute). Batched LAPACK works one matrix at a time, so a member
+measured alone gets bit for bit the value the full batch gives, and every
+reported number is the one an exhaustive sweep gives.
+
+prepare_family validates a family and computes these per-member data once
+(a PreparedFamily); dominant_element takes either plain stacks, which it
+prepares, or a PreparedFamily, so callers that solve over nested families
+(certify's onset ladder) prepare once and take each solve's members by
+index.
 """
 
 from __future__ import annotations
@@ -84,29 +92,81 @@ class DominantReport:
 # ---------------------------------------------------------------------------
 # block-stack helpers (Hermitian work arrays, one stack per block)
 
-def _family_stacks(alg: Algebra, family: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The family's complex stacks: shapes (n, d_b, d_b), common n >= 1, finite."""
-    raw = [np.asarray(s, dtype=np.complex128) for s in family]
-    if len(raw) != alg.num_blocks:
+def _check_blocks(alg: Algebra, stacks: Sequence[np.ndarray]) -> None:
+    """Raise unless stacks are one (n, d_b, d_b) stack per block, common n >= 1."""
+    if len(stacks) != alg.num_blocks:
         raise StructuralError(
-            f"expected {alg.num_blocks} block stacks, got {len(raw)}"
+            f"expected {alg.num_blocks} block stacks, got {len(stacks)}"
         )
-    n = raw[0].shape[0] if raw[0].ndim == 3 else -1
-    for s, d in zip(raw, alg.block_dims):
+    n = stacks[0].shape[0] if stacks[0].ndim == 3 else -1
+    for s, d in zip(stacks, alg.block_dims):
         if s.shape != (n, d, d):
             raise StructuralError(
                 f"block stack shape {s.shape} does not match ({n}, {d}, {d})"
             )
-        if not np.all(np.isfinite(s)):
-            raise NumericError("non-finite entries in a block stack")
     if n == 0:
         raise StructuralError("the family must be nonempty")
+
+
+def _family_stacks(alg: Algebra, family: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The family's complex stacks: shapes (n, d_b, d_b), common n >= 1, finite."""
+    raw = [np.asarray(s, dtype=np.complex128) for s in family]
+    _check_blocks(alg, raw)
+    if not all(np.all(np.isfinite(s)) for s in raw):
+        raise NumericError("non-finite entries in a block stack")
     return raw
+
+
+@dataclass(frozen=True)
+class PreparedFamily:
+    """A validated family of Hermitian members and its per-member screen data.
+
+    stacks holds the members' Hermitian parts, one (n, d_b, d_b) stack per
+    block; bound the (n, blocks) Gershgorin row bounds g_kb >=
+    lambda_max(x_kb); size each member's largest |entry| in stacks; given
+    the stacks as passed, or None when stacks stand for them (a family
+    built exactly Hermitian, such as certify's +-residuals). Every field is
+    per member, so take(idx) holds bit for bit what preparing the gathered
+    members gives.
+    """
+
+    stacks: tuple[np.ndarray, ...]
+    bound: np.ndarray
+    size: np.ndarray
+    given: tuple[np.ndarray, ...] | None = None
+
+    def take(self, idx) -> "PreparedFamily":
+        """The members idx (an index array), in that order."""
+        return PreparedFamily(
+            tuple(s[idx] for s in self.stacks), self.bound[idx], self.size[idx],
+            None if self.given is None else tuple(s[idx] for s in self.given),
+        )
+
+
+def prepare_family(family: Sequence[np.ndarray], *, algebra: Algebra) -> PreparedFamily:
+    """Validate per-block stacks (n, d_b, d_b) of Hermitian members once.
+
+    Raises as dominant_element does on malformed, non-finite or
+    non-Hermitian input; the result can be passed to dominant_element in
+    place of the stacks, whole or through take().
+    """
+    raw = _family_stacks(algebra, family)
+    dev, mag = stack_hermitian_deviation(raw)
+    if np.any(dev > 1e-8 * (1.0 + mag)):
+        raise StructuralError(
+            "family members must be Hermitian; split complex elements first"
+        )
+    stacks = [stack_hermitian_part(s) for s in raw]
+    size = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in stacks])
+    return PreparedFamily(tuple(stacks), _gershgorin(stacks), size, tuple(raw))
 
 
 def _offdiag_max(s: np.ndarray) -> float:
     """Largest off-diagonal modulus over a (n, d, d) stack."""
-    return float(np.where(np.eye(s.shape[-1], dtype=bool), 0.0, np.abs(s)).max())
+    mag = np.abs(s)
+    diag = np.arange(s.shape[-1])
+    mag[:, diag, diag] = 0.0
+    return float(mag.max())
 
 
 def _margins_full(a_blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
@@ -292,10 +352,10 @@ def _solve_dual(
                 center = a_rho
                 a_rho = a_of(rho)
                 y, a_y, t_mom = rho, a_rho, 1.0
-            worst = [int(near[j]) for j in np.argsort(margins, kind="stable")
-                     if margins[j] < -FEAS_TOL * scale and int(near[j]) not in work]
-            if worst:
-                work.append(worst[0])
+            # the most violated member outside W; the first on ties
+            viol = np.flatnonzero((margins < -FEAS_TOL * scale) & ~np.isin(near, work))
+            if viol.size:
+                work.append(int(near[viol[np.argmin(margins[viol])]]))
                 x_w = [x_b[work] for x_b in stacks]
                 rho = [np.concatenate([r, np.zeros_like(r[:1])]) for r in rho]
                 y, a_y, t_mom = rho, a_rho, 1.0
@@ -327,11 +387,28 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
                       tol: float = 1e-10):
     """Common unitary diagonalizing every member, or None.
 
-    raw holds the members as given, stacks their Hermitian parts.
+    raw holds the members as given, stacks their Hermitian parts. A basis
+    passes when it brings every member of stacks within eps = tol * scale
+    of diagonal (largest off-diagonal modulus). That needs the members to
+    nearly commute: with x = V(D_x + E_x)V*, ||E_x||_F <= d eps and
+    [D_x, D_y] = 0, ||[x, y]||_F <= 2 d eps (||x||_F + ||y||_F) + 6 d^2 eps^2.
+    So before the seeded passes, each reducing the whole family, the first
+    member of each block is tested against the first JOINT_CHUNK members,
+    with that bound doubled plus 1e-12 * scale^2 for rounding; a failure
+    returns None, as both passes would.
     """
     scale = 1.0 + max(float(np.abs(s).max()) for s in raw)
     if all(_offdiag_max(s) <= 1e-13 * scale for s in raw):
         return [np.eye(s.shape[-1], dtype=np.complex128) for s in raw]
+    eps = tol * scale
+    for x_b in stacks:
+        head, d = x_b[:JOINT_CHUNK], x_b.shape[-1]
+        comm = head[0] @ head - head @ head[0]
+        fro = np.sqrt(np.sum(np.abs(head) ** 2, axis=(1, 2)))
+        allow = 2.0 * (2.0 * d * eps * (fro[0] + fro) + 6.0 * d * d * eps * eps)
+        if np.any(np.sqrt(np.sum(np.abs(comm) ** 2, axis=(1, 2)))
+                  > allow + 1e-12 * scale * scale):
+            return None
     n = raw[0].shape[0]
     steps = np.arange(1, n + 1)
     for seed_coef in (1.2345678901, 2.7182818284):
@@ -353,7 +430,7 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
 # dominant element
 
 def dominant_element(
-    family: Sequence[np.ndarray],
+    family: Sequence[np.ndarray] | PreparedFamily,
     p: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
@@ -363,26 +440,30 @@ def dominant_element(
     """Smallest-norm positive element dominating every family member.
 
     family holds the per-block stacks (n, d_b, d_b) of n Hermitian members
-    of algebra, as AverageFamily.block_stacks() returns them; strided views
-    and contiguous copies give the same report. Exact for p = inf, single
+    of algebra, as AverageFamily.block_stacks() returns them, or the
+    PreparedFamily prepare_family makes of them; strided views, contiguous
+    copies and prepared families give the same report. Exact for p = inf, single
     elements, and families with a joint eigenbasis; otherwise the dual
     solver (see _solve_dual) runs until the verified relative gap is at most
     tol or max_iter steps are spent. The reported norm belongs to a verified
     feasible dominant, the lower bound to the dual certificate the report
     carries.
     """
-    alg, raw = algebra, _family_stacks(algebra, family)
-    dev, mag = stack_hermitian_deviation(raw)
-    if np.any(dev > 1e-8 * (1.0 + mag)):
-        raise StructuralError(
-            "family members must be Hermitian; split complex elements first"
-        )
+    alg = algebra
+    if isinstance(family, PreparedFamily):
+        prep = family
+        _check_blocks(alg, prep.stacks)
+        if not np.all(np.isfinite(prep.size)):
+            raise NumericError("non-finite entries in a block stack")
+    else:
+        prep = prepare_family(family, algebra=alg)
     wts = alg.trace_weights
-    stacks = [stack_hermitian_part(s) for s in raw]
+    stacks = list(prep.stacks)
+    raw = stacks if prep.given is None else list(prep.given)
     n_members = stacks[0].shape[0]
-    size = max(float(np.abs(s).max()) for s in stacks)
+    size = float(prep.size.max())
     scale = 1.0 + size
-    bound = _gershgorin(stacks)
+    bound = prep.bound
 
     def finish(a_el: Element, norm, lower, iters, converged, method,
                members=(), rho=()):

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from ncergo import bau, maximal
 from ncergo.algebra import (
     Algebra,
+    Box,
     spectral_projection,
     stack_hermitian_part,
     stack_positive_part,
 )
+from ncergo.averages import AverageFamily
 from ncergo.maximal import FEAS_TOL, JOINT_CHUNK
 from ncergo.scenario import run_scenario, scenario_from_dict
 
@@ -230,7 +232,7 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
     monkeypatch.setattr(maximal, "_min_margin", wrap(
         maximal._min_margin, "finish", lambda a, stacks, *_: stacks[0].shape[0]))
     monkeypatch.setattr(bau, "_compressed_sup", wrap(
-        bau._compressed_sup, "sup", lambda e, stacks: stacks[0].shape[0]))
+        bau._compressed_sup, "sup", lambda e, stacks, *_: stacks[0].shape[0]))
 
     data = json.loads((CONFIGS / "rate_d2.json").read_text())
     data["tasks"] = ["average", "certify"]
@@ -250,3 +252,135 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
         assert count < 0.05 * total
     for count, total in sup:
         assert count < 0.10 * total
+
+
+# ---------------------------------------------------------------------------
+# prepared families: per-member data taken by index, bit for bit
+
+def same_report(a, b):
+    fields = ("norm", "lower_bound", "feasibility_margin", "method", "members",
+              "iterations", "converged")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    for xs, ys in ((a.rho, b.rho), (a.dominant.blocks, b.dominant.blocks)):
+        assert len(xs) == len(ys)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    n=st.integers(1, 80),
+    kind=st.sampled_from(("diagonal", "near_duplicate", "plus_minus", "general")),
+    skew=st.booleans(),
+    p=st.sampled_from((1.5, 2.0, np.inf)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prepared_family_take_equals_gathered_stacks(dims, n, kind, skew, p, seed):
+    alg = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    stacks = screen_family(kind, seed, dims, n)
+    if skew:  # not exactly Hermitian, within the validation's tolerance
+        stacks = [s + 1e-12j * hermitian(rng, s.shape) for s in stacks]
+    idx = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    prep = maximal.prepare_family(stacks, algebra=alg)
+    got = maximal.dominant_element(prep.take(idx), p, tol=1e-6, max_iter=300, algebra=alg)
+    want = maximal.dominant_element([s[idx] for s in stacks], p, tol=1e-6,
+                                    max_iter=300, algebra=alg)
+    same_report(got, want)
+
+
+def complex_residuals(rng, dims, shape, real):
+    n = int(np.prod(shape))
+    blocks = []
+    for d in dims:
+        decay = 1.0 / np.arange(1, n + 1)[:, None, None]
+        g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        blocks.append(decay * ((g + np.conj(np.swapaxes(g, -1, -2))) / 2 if real else g))
+    data = np.concatenate([b.reshape(n, -1) for b in blocks], axis=1)
+    alg = Algebra(dims)
+    return AverageFamily(alg, Box((1, 1), shape), data.reshape(shape + (-1,)), "synthetic")
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_onset_ladder_equals_certify_bau_complex_per_tail(dims, shape, real, seed):
+    fam = complex_residuals(np.random.default_rng(seed), dims, shape, real)
+    onsets = (1, 2, 3, 5)
+    rows = fam.raw().reshape(-1, fam.algebra.basis_size)
+    for m in onsets[:2]:  # a tail's members by index, in restrict's order
+        box = bau.tail_box(fam, m)
+        assert np.array_equal(rows[bau._members(fam.box, box)],
+                              fam.restrict(box).raw().reshape(-1, rows.shape[1]))
+    certs = bau.onset_ladder(fam, 2.0, 0.05, onsets, tol=1e-6, max_iter=400)
+    want = [bau.certify_bau_complex(fam.restrict(bau.tail_box(fam, m)), 2.0, 0.05,
+                                    tol=1e-6, max_iter=400)
+            for m in onsets if m <= min(shape)]
+    assert len(certs) == len(want)
+    for a, b in zip(certs, want):
+        assert (a.epsilon, a.lam, a.p, a.onset, a.tail_sup, a.dominant_norm,
+                a.trace_complement, a.tail_size, a.flags, a.iterations) == (
+            b.epsilon, b.lam, b.p, b.onset, b.tail_sup, b.dominant_norm,
+            b.trace_complement, b.tail_size, b.flags, b.iterations)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(a.e.element.blocks, b.e.element.blocks))
+
+
+# ---------------------------------------------------------------------------
+# the joint-eigenbasis commutator pre-test only answers None where the
+# seeded passes would
+
+def joint_eigenbasis_oracle(raw, stacks, tol=1e-10):
+    # the routine without the commutator pre-test
+    scale = 1.0 + max(float(np.abs(s).max()) for s in raw)
+    if all(maximal._offdiag_max(s) <= 1e-13 * scale for s in raw):
+        return [np.eye(s.shape[-1], dtype=np.complex128) for s in raw]
+    n = raw[0].shape[0]
+    steps = np.arange(1, n + 1)
+    for seed_coef in (1.2345678901, 2.7182818284):
+        coef = np.cos(seed_coef * steps)[:, None, None]
+        basis = [
+            np.linalg.eigh(stack_hermitian_part(np.add.reduce(coef * s, axis=0, initial=0)))[1]
+            for s in raw
+        ]
+        if all(maximal._offdiag_max(v.conj().T @ x_b[lo:lo + JOINT_CHUNK] @ v) <= tol * scale
+               for lo in range(0, n, JOINT_CHUNK)
+               for v, x_b in zip(basis, stacks)):
+            return basis
+    return None
+
+
+def same_basis(got, want):
+    if want is None:
+        return got is None
+    return got is not None and all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("rel", (0.0, 1e-13, 1e-11, 1e-10, 1e-8))
+@pytest.mark.parametrize("seed", range(6))
+def test_commutator_pretest_keeps_joint_eigenbasis_on_perturbed_commuting(rel, seed):
+    rng = np.random.default_rng(seed)
+    n = (3, 40, JOINT_CHUNK + 9)[seed % 3]
+    stacks = [rotated_commuting(rng, d, n) for d in (2, 3)[:1 + seed % 2]]
+    stacks = [s + rel * hermitian(rng, s.shape) for s in stacks]
+    want = joint_eigenbasis_oracle(stacks, stacks)
+    assert same_basis(maximal._joint_eigenbasis(stacks, stacks), want)
+    if rel <= 1e-13:
+        assert want is not None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.integers(1, 300),
+    kind=st.sampled_from(("diagonal", "near_duplicate", "plus_minus", "general")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_commutator_pretest_keeps_joint_eigenbasis_on_screen_kinds(dims, n, kind, seed):
+    stacks = screen_family(kind, seed, dims, n)
+    assert same_basis(maximal._joint_eigenbasis(stacks, stacks),
+                      joint_eigenbasis_oracle(stacks, stacks))

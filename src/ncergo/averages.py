@@ -13,8 +13,10 @@ evaluation routes are provided and cross-checked by the test suite:
   factorized  per-axis one-parameter averages, valid for trig polynomial
               weights only, O(sum N_i) map applications per term.
 
-All routes are sequential and deterministic: identical inputs produce
-bitwise identical results.
+Every route applies a map block by block, through its per-block transfer
+matrices; the dense transfer matrix is never formed. All routes are
+sequential and deterministic: identical inputs produce bitwise identical
+results.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ def _check_inputs(a: Weight, maps: Sequence[LinearOperator], x: Element):
     for t in maps:
         if t.algebra != x.algebra:
             raise StructuralError("map algebra does not match the element's algebra")
-
-
-def _transfer_stack(maps: Sequence[LinearOperator]) -> list[np.ndarray]:
-    return [t.transfer_matrix() for t in maps]
 
 
 class AverageFamily:
@@ -130,8 +128,8 @@ class AverageFamily:
         )
 
 
-def _iterate_powers(mats: list[np.ndarray], x0: np.ndarray, upper: tuple[int, ...],
-                    visit) -> int:
+def _iterate_powers(maps: Sequence[LinearOperator], x0: np.ndarray,
+                    upper: tuple[int, ...], visit) -> int:
     """Walk T^k x over the box [1, upper] with one map application per node.
 
     visit(flat_offset, vec) is called for every complete index, in
@@ -147,10 +145,10 @@ def _iterate_powers(mats: list[np.ndarray], x0: np.ndarray, upper: tuple[int, ..
 
     def rec(axis: int, base: np.ndarray, off: int):
         nonlocal count
-        m = mats[axis]
+        m = maps[axis]
         v = base
         for t in range(upper[axis]):
-            v = m @ v
+            v = m.apply_vec(v)
             count += 1
             pos = off + t * strides[axis]
             if axis == d - 1:
@@ -162,16 +160,17 @@ def _iterate_powers(mats: list[np.ndarray], x0: np.ndarray, upper: tuple[int, ..
     return count
 
 
-def _walk_slabs(mats: list[np.ndarray], x0: np.ndarray, grid: np.ndarray) -> int:
+def _walk_slabs(maps: Sequence[LinearOperator], x0: np.ndarray,
+                grid: np.ndarray) -> int:
     """Fill grid[k - 1] = T^k x over the box [1, grid.shape[:-1]], slab by slab.
 
     x is written at the first point; each axis j then advances the whole
-    filled slab of axes before it, one matrix product per step, writing
-    step s into grid[..., s, 0, ...] (step 0 overwrites the slab it starts
-    from). Until axis j is walked, the slab holds power 0 of that axis and
-    of every later one. A grid with no box axes (shape (dim,)) receives x.
-    Counts one map application per row advanced, which is the per-point
-    walk's count.
+    filled slab of axes before it, one matrix product per block and step
+    (`LinearOperator.apply_rows`), writing step s into grid[..., s, 0, ...]
+    (step 0 overwrites the slab it starts from). Until axis j is walked,
+    the slab holds power 0 of that axis and of every later one. A grid with
+    no box axes (shape (dim,)) receives x. Counts one map application per
+    row advanced, which is the per-point walk's count.
     """
     upper, dim = grid.shape[:-1], grid.shape[-1]
     grid.reshape(-1, dim)[0] = x0
@@ -179,9 +178,8 @@ def _walk_slabs(mats: list[np.ndarray], x0: np.ndarray, grid: np.ndarray) -> int
     for j in range(len(upper)):
         lead = volume(upper[:j])
         view = grid.reshape(lead, upper[j], -1, dim)
-        step = mats[j].T
         for s in range(upper[j]):
-            np.matmul(view[:, max(s - 1, 0), 0], step, out=view[:, s, 0])
+            maps[j].apply_rows(view[:, max(s - 1, 0), 0], view[:, s, 0])
         count += lead * upper[j]
     return count
 
@@ -211,7 +209,7 @@ def weighted_average_direct(
         nonlocal acc
         acc = acc + w[pos] * v
 
-    _iterate_powers(_transfer_stack(maps), alg.vec(x), nt, visit)
+    _iterate_powers(maps, alg.vec(x), nt, visit)
     return alg.unvec(acc / volume(nt))
 
 
@@ -225,9 +223,10 @@ def weighted_average_grid(
     """All A_N for N in the box, via compensated prefix sums in one stream.
 
     Needs O(points of [1, box.upper]) map applications in total. Axes
-    1..d-1 are walked into a lead slab (one matrix product per step of each
-    axis, see _walk_slabs); the last axis is then walked on from it in
-    chunks of slabs of about CHUNK_BYTES. Each chunk is weighted, summed
+    1..d-1 are walked into a lead slab (one matrix product per block and
+    step of each axis, see _walk_slabs); the last axis is then walked on
+    from it, in the same per-block products, in chunks of slabs of about
+    CHUNK_BYTES. Each chunk is weighted, summed
     along axes 1..d-1 in place, summed along the last axis with the
     (total, compensation) pair carried from the chunk before, and divided
     by |N| into the family. Every entry sees the same operations in the
@@ -246,10 +245,9 @@ def weighted_average_grid(
         )
     alg = x.algebra
     dim = alg.basis_size
-    mats = _transfer_stack(maps)
     slab = np.empty(upper[:-1] + (dim,), dtype=np.complex128)
-    apps = _walk_slabs(mats[:-1], alg.vec(x), slab)
-    last, step = upper[-1], mats[-1].T
+    apps = _walk_slabs(maps[:-1], alg.vec(x), slab)
+    last, t_last = upper[-1], maps[-1]
     apps += volume(upper[:-1]) * last
     # the last axis comes first in chunks, weights and volumes: chunk[t] is a slab
     w = np.moveaxis(eval_weight_box(a, upper), -1, 0)
@@ -270,7 +268,7 @@ def weighted_average_grid(
     ends = list(range(size, last, size)) + [last]
     if len(ends) > 1 and ends[-1] - ends[-2] == 1:
         del ends[-2]
-    # slabs are walked as 2-D (points, dim) products, as in _walk_slabs: a
+    # slabs are walked as 2-D (points, d_b^2) products, as in _walk_slabs: a
     # stacked matmul would take another BLAS route and round differently
     rows = slab.reshape(-1, dim)
     chunk = np.empty((min(size + 1, last),) + rows.shape, dtype=np.complex128)
@@ -279,7 +277,7 @@ def weighted_average_grid(
         c = chunk[:s1 - s0]
         prev = rows
         for t in range(len(c)):
-            np.matmul(prev, step, out=c[t])
+            t_last.apply_rows(prev, c[t])
             prev = c[t]
         rows[...] = prev
         c = c.reshape((len(c),) + slab.shape)
@@ -312,16 +310,15 @@ def weighted_average_factorized(
     if len(nt) != len(maps):
         raise StructuralError("index dimension does not match the number of maps")
     alg = x.algebra
-    mats = _transfer_stack(maps)
     acc = np.zeros(alg.basis_size, dtype=np.complex128)
     for term in poly.terms:
         v = alg.vec(x)
-        for axis, (mat, steps) in enumerate(zip(mats, nt)):
+        for axis, (t, steps) in enumerate(zip(maps, nt)):
             lam = np.exp(1j * term.phases[axis])
             z = v
             s = np.zeros_like(v)
             for _ in range(steps):
-                z = lam * (mat @ z)
+                z = lam * t.apply_vec(z)
                 s = s + z
             v = s / steps
         acc += term.coefficient * v
@@ -357,7 +354,7 @@ def split_real_imag(
         acc_re = acc_re + w[pos].real * v
         acc_im = acc_im + w[pos].imag * v
 
-    _iterate_powers(_transfer_stack(maps), alg.vec(x), nt, visit)
+    _iterate_powers(maps, alg.vec(x), nt, visit)
     size = volume(nt)
     return alg.unvec(acc_re / size), alg.unvec(acc_im / size)
 
@@ -387,7 +384,7 @@ def limit_oracle(
         for axis, t in enumerate(maps):
             q = cesaro_limit_projection(t, np.exp(1j * term.phases[axis]))
             notes.extend(q.notes)
-            v = q.transfer_matrix() @ v
+            v = q.apply_vec(v)
         acc += term.coefficient * v
     return LimitResult(alg.unvec(acc), tuple(notes))
 

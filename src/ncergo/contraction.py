@@ -13,8 +13,13 @@ construction and are re-verified numerically:
     the map extended to the enveloping matrix algebra (strictly stronger
     than positivity, and what the constructed kinds actually satisfy).
 
-Raw transfer-matrix maps can be loaded and verified too; a raw map that is
-not Hermiticity-preserving fails structurally rather than by margin.
+Every map here preserves the blocks of the algebra, so it is held as one
+d_b^2 x d_b^2 transfer matrix per block; the dense transfer matrix over all
+blocks is assembled only on request, as an oracle. Its Choi matrix then
+vanishes on every pair of distinct blocks, and only the per-block Choi
+matrices need a spectrum. Raw transfer-matrix maps can be loaded and
+verified too; one that couples blocks is rejected, and one that is not
+Hermiticity-preserving fails structurally rather than by margin.
 """
 
 from __future__ import annotations
@@ -36,52 +41,114 @@ WARN_TOL = 1e-8
 
 
 class LinearOperator:
-    """Linear map on one algebra, held as its transfer matrix.
+    """Linear map on one algebra, held as one transfer matrix per block.
 
-    The matrix acts on `Algebra.vec` coordinates (column k is the image of
-    the k-th basis element); it is copied and made read-only here.
+    Block b's matrix (d_b^2, d_b^2) acts on block b's `Algebra.vec`
+    coordinates (column k is the image of the k-th basis element of that
+    block). The matrices are copied and made read-only; each copy keeps the
+    memory order it was given in, since BLAS rounds a product by a C-ordered
+    and an F-ordered matrix differently.
     """
 
-    def __init__(self, algebra: Algebra, matrix: np.ndarray, notes: tuple[str, ...] = ()):
-        m = np.array(matrix, dtype=np.complex128, copy=True)
+    def __init__(self, algebra: Algebra, blocks: Sequence[np.ndarray],
+                 notes: tuple[str, ...] = ()):
+        if len(blocks) != algebra.num_blocks:
+            raise StructuralError(
+                f"{len(blocks)} transfer blocks for {algebra.num_blocks} algebra blocks"
+            )
+        mats = []
+        for m, d in zip(blocks, algebra.block_dims):
+            m = np.array(m, dtype=np.complex128, copy=True)
+            if m.shape != (d * d, d * d):
+                raise StructuralError(
+                    f"transfer block shape {m.shape} does not match block dim {d}"
+                )
+            m.setflags(write=False)
+            mats.append(m)
+        self.algebra = algebra
+        self.notes = tuple(notes)
+        self.transfer_blocks = tuple(mats)
+
+    @classmethod
+    def from_matrix(cls, algebra: Algebra, matrix: np.ndarray,
+                    notes: tuple[str, ...] = ()) -> "LinearOperator":
+        """Split a dense transfer matrix into its diagonal blocks.
+
+        Raises StructuralError when the matrix couples blocks, that is when
+        an entry off the block diagonal is nonzero.
+        """
+        m = np.asarray(matrix, dtype=np.complex128)
         dim = algebra.basis_size
         if m.shape != (dim, dim):
             raise StructuralError(
                 f"transfer matrix shape {m.shape} does not match basis size {dim}"
             )
-        m.setflags(write=False)
-        self.algebra = algebra
-        self.notes = tuple(notes)
-        self._transfer = m
+        owner = np.repeat(np.arange(algebra.num_blocks),
+                          [d * d for d in algebra.block_dims])
+        coupling = int(np.count_nonzero(m[owner[:, None] != owner[None, :]]))
+        if coupling:
+            raise StructuralError(
+                f"transfer matrix couples blocks: {coupling} nonzero entries "
+                "off the block diagonal"
+            )
+        return cls(algebra, [m[s, s] for s in algebra._slices], notes)
 
     def transfer_matrix(self) -> np.ndarray:
-        return self._transfer
+        """Dense transfer matrix over all blocks, assembled on each call.
+
+        For tests and oracles: nothing in the package multiplies by it.
+        """
+        dim = self.algebra.basis_size
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        for s, blk in zip(self.algebra._slices, self.transfer_blocks):
+            m[s, s] = blk
+        return m
+
+    def apply_vec(self, v: np.ndarray) -> np.ndarray:
+        """T on one vector of vec coordinates, block by block."""
+        out = np.empty(v.shape, dtype=np.complex128)
+        for s, m in zip(self.algebra._slices, self.transfer_blocks):
+            np.matmul(m, v[s], out=out[s])
+        return out
+
+    def apply_rows(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[i] = T(rows[i]) for 2-D stacks of vec-coordinate rows.
+
+        One (points, d_b^2) x (d_b^2, d_b^2) product per block; out may be
+        rows itself.
+        """
+        for s, m in zip(self.algebra._slices, self.transfer_blocks):
+            np.matmul(rows[:, s], m.T, out=out[:, s])
+        return out
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise StructuralError("element algebra does not match the map's algebra")
-        return self.algebra.unvec(self._transfer @ self.algebra.vec(x))
+        return self.algebra.unvec(self.apply_vec(self.algebra.vec(x)))
 
 
 def operator_from_function(algebra: Algebra, fn: Callable[[Element], Element],
                            notes: tuple[str, ...] = ()) -> LinearOperator:
-    """Materialize a raw map from a python callable (positivity unverified)."""
+    """Materialize a raw map from a python callable (positivity unverified).
+
+    Raises StructuralError when the map couples blocks.
+    """
     cols = [
         algebra.vec(fn(algebra.basis_element(b, i, j)))
         for b, d in enumerate(algebra.block_dims)
         for i in range(d)
         for j in range(d)
     ]
-    return LinearOperator(algebra, np.column_stack(cols),
-                          notes + ("positivity unverified",))
+    return LinearOperator.from_matrix(algebra, np.column_stack(cols),
+                                      notes + ("positivity unverified",))
 
 
 class AbsoluteContraction(LinearOperator):
-    """Transfer matrix of a constructed contraction; `kind` is a label."""
+    """Per-block transfer matrices of a constructed contraction; `kind` is a label."""
 
-    def __init__(self, algebra: Algebra, kind: str, matrix: np.ndarray,
+    def __init__(self, algebra: Algebra, kind: str, blocks: Sequence[np.ndarray],
                  notes: tuple[str, ...] = ()):
-        super().__init__(algebra, matrix, notes)
+        super().__init__(algebra, blocks, notes)
         self.kind = kind
 
     def __repr__(self) -> str:
@@ -103,23 +170,22 @@ def _as_element(algebra: Algebra, obj) -> Element:
     return el
 
 
-def _conjugation_matrix(algebra: Algebra, pairs) -> np.ndarray:
-    """Transfer matrix of x -> sum_j A_j x B_j, given (A_j, B_j) block lists.
+def _conjugation_blocks(algebra: Algebra, pairs) -> list[np.ndarray]:
+    """Per-block transfer matrices of x -> sum_j A_j x B_j, given (A_j, B_j)
+    block lists.
 
     Each block's columns come from one batched product over that block's
     stacked basis, added term by term from zero; this equals conjugating the
     basis elements one at a time bit for bit (a Kronecker product does not).
     """
-    m = np.zeros((algebra.basis_size,) * 2, dtype=np.complex128)
-    off = 0
+    out = []
     for b, d in enumerate(algebra.block_dims):
         basis = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
         acc = np.zeros_like(basis)
         for left, right in pairs:
             acc = acc + left[b] @ basis @ right[b]
-        m[off:off + d * d, off:off + d * d] = acc.reshape(d * d, d * d).T
-        off += d * d
-    return m
+        out.append(np.ascontiguousarray(acc.reshape(d * d, d * d).T))
+    return out
 
 
 def scaled_unitary(algebra: Algebra, unitary, scale: float = 1.0) -> AbsoluteContraction:
@@ -133,8 +199,8 @@ def scaled_unitary(algebra: Algebra, unitary, scale: float = 1.0) -> AbsoluteCon
         if dev > UNITARY_TOL:
             raise StructuralError(f"unitarity violated by {dev:.3e}")
     adj = [b.conj().T for b in u.blocks]
-    m = s * _conjugation_matrix(algebra, [(adj, u.blocks)])
-    return AbsoluteContraction(algebra, "scaled_unitary", m)
+    blocks = [s * m for m in _conjugation_blocks(algebra, [(adj, u.blocks)])]
+    return AbsoluteContraction(algebra, "scaled_unitary", blocks)
 
 
 def pinching(projections: Sequence[Projection | Element]) -> AbsoluteContraction:
@@ -152,8 +218,10 @@ def pinching(projections: Sequence[Projection | Element]) -> AbsoluteContraction
     low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in gap.blocks)
     if low < -KIND_TOL:
         raise StructuralError(f"projection sum exceeds the identity by {-low:.3e}")
-    m = _conjugation_matrix(algebra, [(p.element.blocks, p.element.blocks) for p in projs])
-    return AbsoluteContraction(algebra, "pinching", m)
+    blocks = _conjugation_blocks(
+        algebra, [(p.element.blocks, p.element.blocks) for p in projs]
+    )
+    return AbsoluteContraction(algebra, "pinching", blocks)
 
 
 def schur_multiplier(algebra: Algebra, coefficients: np.ndarray) -> AbsoluteContraction:
@@ -172,7 +240,7 @@ def schur_multiplier(algebra: Algebra, coefficients: np.ndarray) -> AbsoluteCont
     diag_excess = float(np.max(np.real(np.diag(h)))) - 1.0
     if diag_excess > KIND_TOL:
         raise StructuralError(f"diagonal entries exceed 1 by {diag_excess:.3e}")
-    return AbsoluteContraction(algebra, "schur_multiplier", np.diag(h.reshape(-1)))
+    return AbsoluteContraction(algebra, "schur_multiplier", [np.diag(h.reshape(-1))])
 
 
 def kraus(algebra: Algebra, operators: Sequence) -> AbsoluteContraction:
@@ -201,7 +269,7 @@ def kraus(algebra: Algebra, operators: Sequence) -> AbsoluteContraction:
                 f"{sums} has max eigenvalue {top:.6g} > 1: fails the {label} condition"
             )
     pairs = [([b.conj().T for b in k.blocks], k.blocks) for k in ops]
-    return AbsoluteContraction(algebra, "kraus", _conjugation_matrix(algebra, pairs))
+    return AbsoluteContraction(algebra, "kraus", _conjugation_blocks(algebra, pairs))
 
 
 def convex_combination(terms: Sequence[tuple[float, AbsoluteContraction]]) -> AbsoluteContraction:
@@ -214,10 +282,13 @@ def convex_combination(terms: Sequence[tuple[float, AbsoluteContraction]]) -> Ab
     algebra = terms[0][1].algebra
     if any(t.algebra != algebra for _, t in terms):
         raise StructuralError("combined maps live in different algebras")
-    m = np.zeros((algebra.basis_size,) * 2, dtype=np.complex128)
-    for w, (_, t) in zip(weights, terms):
-        m = m + w * t.transfer_matrix()
-    return AbsoluteContraction(algebra, "convex_combination", m)
+    blocks = []
+    for b in range(algebra.num_blocks):
+        m = np.zeros_like(terms[0][1].transfer_blocks[b])
+        for w, (_, t) in zip(weights, terms):
+            m = m + w * t.transfer_blocks[b]
+        blocks.append(m)
+    return AbsoluteContraction(algebra, "convex_combination", blocks)
 
 
 def composition(maps: Sequence[AbsoluteContraction]) -> AbsoluteContraction:
@@ -227,10 +298,13 @@ def composition(maps: Sequence[AbsoluteContraction]) -> AbsoluteContraction:
     algebra = maps[0].algebra
     if any(m.algebra != algebra for m in maps):
         raise StructuralError("composed maps live in different algebras")
-    m = maps[0].transfer_matrix()
-    for t in maps[1:]:
-        m = t.transfer_matrix() @ m
-    return AbsoluteContraction(algebra, "composition", m)
+    blocks = []
+    for b in range(algebra.num_blocks):
+        m = maps[0].transfer_blocks[b]
+        for t in maps[1:]:
+            m = t.transfer_blocks[b] @ m
+        blocks.append(m)
+    return AbsoluteContraction(algebra, "composition", blocks)
 
 
 def identity_map(algebra: Algebra) -> AbsoluteContraction:
@@ -313,34 +387,33 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
 
-def _adjoint_permutation(algebra: Algebra) -> np.ndarray:
-    """Index permutation with vec(x*) = conj(vec(x))[perm]."""
-    perm = np.empty(algebra.basis_size, dtype=np.intp)
-    off = 0
-    for d in algebra.block_dims:
-        for i in range(d):
-            for j in range(d):
-                perm[off + i * d + j] = off + j * d + i
-        off += d * d
-    return perm
+def _adjoint_permutation(d: int) -> np.ndarray:
+    """Index permutation with vec(x*) = conj(vec(x))[perm] on one d x d block."""
+    return np.arange(d * d).reshape(d, d).T.reshape(-1)
 
 
 def is_hermiticity_preserving(op: LinearOperator, tol: float = 1e-10) -> bool:
-    m = op.transfer_matrix()
-    perm = _adjoint_permutation(op.algebra)
-    conj_m = np.conj(m[np.ix_(perm, perm)])
-    scale = 1.0 + float(np.abs(m).max())
-    return float(np.abs(conj_m - m).max()) <= tol * scale
-
-
-def trace_adjoint_matrix(op: LinearOperator) -> np.ndarray:
-    """Transfer matrix of the adjoint for the weighted trace pairing."""
-    alg = op.algebra
-    w = np.concatenate(
-        [np.full(d * d, wt) for d, wt in zip(alg.block_dims, alg.trace_weights)]
+    blocks = op.transfer_blocks
+    scale = 1.0 + max(float(np.abs(m).max()) for m in blocks)
+    dev = max(
+        float(np.abs(np.conj(m[np.ix_(perm, perm)]) - m).max())
+        for m, perm in zip(blocks, map(_adjoint_permutation, op.algebra.block_dims))
     )
-    m = op.transfer_matrix()
-    return (m.conj().T * w[None, :]) / w[:, None]
+    return dev <= tol * scale
+
+
+def trace_adjoint_matrix(op: LinearOperator) -> list[np.ndarray]:
+    """Per-block transfer matrices of the adjoint for the weighted trace pairing."""
+    return [
+        (m.conj().T * wt) / wt
+        for m, wt in zip(op.transfer_blocks, op.algebra.trace_weights)
+    ]
+
+
+def _choi_block(m: np.ndarray, d: int) -> np.ndarray:
+    """The Choi matrix of one block's transfer matrix, rows and columns (i, r):
+    entry ((i, r), (j, c)) is the (r, c) coordinate of T(e_ij)."""
+    return m.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def choi_matrix(op: LinearOperator) -> np.ndarray:
@@ -349,20 +422,19 @@ def choi_matrix(op: LinearOperator) -> np.ndarray:
     The extension first compresses to the block diagonal (itself completely
     positive), so positivity of this matrix is equivalent to complete
     positivity of the map on the block algebra. As an (n, n, n, n) array,
-    entry (i, r, j, c) can be nonzero only when i, j lie in one block B and
-    r, c in one block B'; every other entry is an exact zero, so the matrix
-    is block diagonal over the block pairs (B, B').
+    entry (i, r, j, c) can be nonzero only when i, j, r, c all lie in one
+    block: a map that preserves the blocks has a zero Choi matrix on every
+    pair (B, B') of distinct blocks. A dense oracle; verification takes the
+    per-block matrices instead.
     """
     alg = op.algebra
     n = alg.total_dim
-    # global (row, col) in the n x n picture of each vec coordinate
-    rows, cols = np.concatenate([
-        off + np.indices((d, d)).reshape(2, -1)
-        for off, d in zip(np.cumsum((0,) + alg.block_dims[:-1]), alg.block_dims)
-    ], axis=1)
-    # entry (i n + r, j n + c) is the (r, c) coordinate of T(e_ij)
     choi = np.zeros((n, n, n, n), dtype=np.complex128)
-    choi[rows[None, :], rows[:, None], cols[None, :], cols[:, None]] = op.transfer_matrix()
+    off = 0
+    for m, d in zip(op.transfer_blocks, alg.block_dims):
+        span = slice(off, off + d)
+        choi[span, span, span, span] = _choi_block(m, d).reshape(d, d, d, d)
+        off += d
     return choi.reshape(n * n, n * n)
 
 
@@ -370,17 +442,15 @@ def choi_blocks(op: LinearOperator) -> list[np.ndarray]:
     """The diagonal blocks of `choi_matrix`, one per block pair (B, B').
 
     The pair's submatrix has rows and columns (i, r) with i in B and r in
-    B', in the full matrix's order; B' runs fastest. Its size is d_B d_B'.
+    B', in the full matrix's order; B' runs fastest. Its size is d_B d_B',
+    and it is zero unless B = B'.
     """
-    alg = op.algebra
-    n = alg.total_dim
-    choi = choi_matrix(op).reshape(n, n, n, n)
-    cuts = np.cumsum((0,) + alg.block_dims)
-    spans = [(slice(lo, hi), hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    dims = op.algebra.block_dims
     return [
-        choi[b_in, b_out, b_in, b_out].reshape(d_in * d_out, d_in * d_out)
-        for b_in, d_in in spans
-        for b_out, d_out in spans
+        _choi_block(m, d_in) if b_in == b_out
+        else np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
+        for b_in, (m, d_in) in enumerate(zip(op.transfer_blocks, dims))
+        for b_out, d_out in enumerate(dims)
     ]
 
 
@@ -391,8 +461,9 @@ def verify_absolute_contraction(op: LinearOperator, tol: float = 1e-10) -> Verif
     preserving; margin failures are reported through `passed`, not raised.
     `choi_min_eig` is the smallest eigenvalue of the Choi matrix, taken
     over its diagonal blocks (`choi_blocks`, one d_B d_B' submatrix per
-    block pair), whose spectra make up its spectrum. On a single-block
-    algebra the one block is the whole matrix.
+    block pair), whose spectra make up its spectrum. A pair of distinct
+    blocks has a zero submatrix, which contributes 0.0 without an
+    eigensolve; on a single-block algebra the one block is the whole matrix.
     """
     if not is_hermiticity_preserving(op):
         raise StructuralError(
@@ -406,11 +477,18 @@ def verify_absolute_contraction(op: LinearOperator, tol: float = 1e-10) -> Verif
             float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in x.blocks
         )
 
+    def choi_min_of(b_in: int, b_out: int, m: np.ndarray, d: int) -> float:
+        if b_in != b_out:
+            return 0.0
+        blk = _choi_block(m, d)
+        return float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])
+
     sub = min_eig(one - op.apply(one))
     tr = min_eig(one - LinearOperator(alg, trace_adjoint_matrix(op)).apply(one))
     choi_min = min(
-        float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])
-        for blk in choi_blocks(op)
+        choi_min_of(b_in, b_out, m, d)
+        for b_in, (m, d) in enumerate(zip(op.transfer_blocks, alg.block_dims))
+        for b_out in range(alg.num_blocks)
     )
     notes = tuple(op.notes)
     passed = sub >= -tol and tr >= -tol and choi_min >= -tol
@@ -439,21 +517,29 @@ def cesaro_limit_projection(op: LinearOperator, phase: complex = 1.0) -> LinearO
 
     Equals the limit of the one-parameter averages (1/N) sum_k (phase T)^k
     when phase*T is power bounded (von Neumann's mean ergodic theorem); zero
-    when 1 is not an eigenvalue. The kernel dimension k is the number of
-    eigenvalues within CLUSTER_TOL of 1. The right and left kernels V and W
-    are the singular vectors of phase*T - 1 for its k smallest singular
-    values, and the projection is V (W* V)^-1 W* (taken as a pseudo-inverse,
-    which is the inverse whenever 1 is semisimple). Notes flag, without
-    changing k: eigenvalues within WARN_TOL of 1 but outside CLUSTER_TOL, a
-    count of singular values within CLUSTER_TOL other than k, and a W* V with
-    a singular value within CLUSTER_TOL of 0 (eigenvalue 1 not semisimple).
+    when 1 is not an eigenvalue. It is taken block by block. On each block
+    the kernel dimension k is the number of eigenvalues within CLUSTER_TOL
+    of 1 (the map's kernel dimension is their sum). The right and left
+    kernels V and W are the singular vectors of phase*T - 1 for its k
+    smallest singular values, and the projection is V (W* V)^-1 W* (taken as
+    a pseudo-inverse, which is the inverse whenever 1 is semisimple). Notes
+    flag, without changing k: eigenvalues within WARN_TOL of 1 but outside
+    CLUSTER_TOL, a count of singular values within CLUSTER_TOL other than k,
+    and a W* V with a singular value within CLUSTER_TOL of 0 (eigenvalue 1
+    not semisimple).
     """
     lam = complex(phase)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ValueError(f"phase must be unimodular, got |phase| = {abs(lam)}")
-    a = lam * op.transfer_matrix()
+    notes: list[str] = []
+    blocks = [_block_projection(lam * m, notes) for m in op.transfer_blocks]
+    return LinearOperator(op.algebra, blocks, tuple(notes))
+
+
+def _block_projection(a: np.ndarray, notes: list[str]) -> np.ndarray:
+    """The mean ergodic projection of one block's phase*T, as described in
+    cesaro_limit_projection; appends that block's notes."""
     dim = a.shape[0]
-    notes = []
     eigs = np.linalg.eigvals(a)
     dist = np.abs(eigs - 1.0)
     for v in eigs[(dist > CLUSTER_TOL) & (dist <= WARN_TOL)]:
@@ -470,9 +556,9 @@ def cesaro_limit_projection(op: LinearOperator, phase: complex = 1.0) -> LinearO
             f"but {rank_k} singular values of phase*T - 1 within it; kept {k}"
         )
     if k == 0:
-        return LinearOperator(op.algebra, np.zeros((dim, dim)), tuple(notes))
+        return np.zeros((dim, dim))
     if k == dim:
-        return LinearOperator(op.algebra, np.eye(dim), tuple(notes))
+        return np.eye(dim)
     v, w = vh[dim - k:].conj().T, u[:, dim - k:]
     gram = w.conj().T @ v  # singular values: cosines between the two kernels
     cos_min = float(np.linalg.svd(gram, compute_uv=False)[-1])
@@ -481,5 +567,4 @@ def cesaro_limit_projection(op: LinearOperator, phase: complex = 1.0) -> LinearO
             f"eigenvalue 1 is not semisimple: W*V has singular value "
             f"{cos_min!r}; the averages have no limit"
         )
-    proj = v @ np.linalg.pinv(gram) @ w.conj().T
-    return LinearOperator(op.algebra, proj, tuple(notes))
+    return v @ np.linalg.pinv(gram) @ w.conj().T

@@ -534,33 +534,35 @@ def sup_plus_norm(
     combined positive family: an upper-bound convention, reported as such
     wherever this value surfaces.
     """
-    stacks = _sup_plus_stacks(_family_stacks(algebra, family))
-    return _sup_plus(stacks, algebra, p, tol, max_iter)[0]
+    prep = _sup_plus_family(_family_stacks(algebra, family), algebra)
+    return _sup_plus(prep, algebra, p, tol, max_iter)[0]
 
 
-def _sup_plus_stacks(raw: list[np.ndarray]) -> list[np.ndarray]:
-    """The positive family whose dominant norm is sup_plus_norm.
+def _sup_plus_family(raw: list[np.ndarray], alg: Algebra) -> PreparedFamily | None:
+    """The prepared positive family whose dominant norm is sup_plus_norm.
 
     raw itself when every member is positive; otherwise the four positives
-    of each member, less those that are negligible against the family
-    (possibly none, giving empty stacks).
+    of each member, less those that are negligible against the family.
+    None when none are left.
     """
     if np.all(stack_is_positive(raw, 1e-8)):
-        return raw
+        return prepare_family(raw, algebra=alg)
     scale = max(float(np.abs(s).max()) for s in raw)
     parts = [stack_four_positives(s) for s in raw]
     mag = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in parts])
     keep = np.flatnonzero(mag > 1e-14 * (1.0 + scale))
-    return [s[keep] for s in parts]
+    if not keep.size:
+        return None
+    return prepare_family([s[keep] for s in parts], algebra=alg)
 
 
 def _sup_plus(
-    stacks: list[np.ndarray], alg: Algebra, p: float, tol: float, max_iter: int
+    prep: PreparedFamily | None, alg: Algebra, p: float, tol: float, max_iter: int
 ) -> tuple[float, int]:
-    """(dominant norm of _sup_plus_stacks' output, iterations of its solve)."""
-    if not stacks[0].shape[0]:
+    """(dominant norm of _sup_plus_family's output, iterations of its solve)."""
+    if prep is None:
         return 0.0, 0
-    rep = dominant_element(stacks, p, tol, max_iter, algebra=alg)
+    rep = dominant_element(prep, p, tol, max_iter, algebra=alg)
     return rep.norm, rep.iterations
 
 
@@ -632,10 +634,11 @@ def maximal_inequality_report(
 ) -> MaximalLadderReport:
     """Dominant norms of {M_N(T) x : max(N) <= cutoff} along a cutoff ladder.
 
-    Ratios are against ||x||_p. Each rung is a cold solve to a verified
-    relative gap of at most min(tol, 1e-11); the report flags whether the
-    ratio ladder is nondecreasing and whether the last two rungs agree within
-    cauchy_rtol.
+    Ratios are against ||x||_p. The rungs are nested boxes [1, c]^d, so the
+    largest rung within the budget is walked once and every rung is its
+    restriction. Each rung is a cold solve to a verified relative gap of at
+    most min(tol, 1e-11); the report flags whether the ratio ladder is
+    nondecreasing and whether the last two rungs agree within cauchy_rtol.
     """
     if p == np.inf or float(p) <= 1.0:
         raise ValueError("ladder requires 1 < p < inf")
@@ -647,14 +650,12 @@ def maximal_inequality_report(
     d = len(maps)
     base_norm = lp_norm(x, float(p))
     rows: list[LadderRow] = []
-    truncated = False
-    applications = 0
-    for c in cuts:
-        if volume((c,) * d) > budget:
-            truncated = True
-            break
-        fam = ergodic_average_family(maps, x, Box.full((c,) * d), budget)
-        applications += fam.applications
+    fits = [c for c in cuts if volume((c,) * d) <= budget]
+    truncated = len(fits) < len(cuts)
+    full = (ergodic_average_family(maps, x, Box.full((fits[-1],) * d), budget)
+            if fits else None)
+    for c in fits:
+        fam = full.restrict(Box.full((c,) * d))
         # _ratio_decreased forgives 1e-10 in the ratio, so a rung whose norm
         # may sit tol above the truth could fake a decrease on a plateau:
         # solve each rung to a tenth of that slack (ratios up to 10)
@@ -683,7 +684,7 @@ def maximal_inequality_report(
         cauchy_gap, cauchy_ok = None, False
     return MaximalLadderReport(
         float(p), tuple(rows), nondecr, cauchy_gap, cauchy_ok, truncated,
-        applications,
+        full.applications if full is not None else 0,
     )
 
 
@@ -723,10 +724,10 @@ def interpolation_check(
     if not (1.0 <= q < p) or not np.isfinite(p):
         raise ValueError(f"interpolation needs 1 <= q < p < inf, got q={q}, p={p}")
     raw = _family_stacks(algebra, family)
-    stacks = _sup_plus_stacks(raw)
-    lhs, iters_p = _sup_plus(stacks, algebra, p, tol, max_iter)
+    prep = _sup_plus_family(raw, algebra)  # one preparation for both solves
+    lhs, iters_p = _sup_plus(prep, algebra, p, tol, max_iter)
     ess = float(stack_lp_norm(algebra, raw, np.inf).max())
-    dom_q, iters_q = _sup_plus(stacks, algebra, q, tol, max_iter)
+    dom_q, iters_q = _sup_plus(prep, algebra, q, tol, max_iter)
     theta = q / p
     rhs = ess ** (1.0 - theta) * dom_q**theta
     passed = lhs <= rhs * (1.0 + slack) + 1e-15

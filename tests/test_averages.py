@@ -164,12 +164,12 @@ def test_three_routes_agree_property(dims, d, terms, n, seed):
     assert (direct - grid).max_abs() <= tol
 
 
-def whole_grid_pipeline(a, mats, x0, box):
+def whole_grid_pipeline(a, maps, x0, box):
     """The grid evaluator as one pass per stage over the whole grid on
     [1, box.upper]: walk, weight, one compensated sum per axis, divide."""
     upper = box.upper
     grid = np.empty(upper + (len(x0),), dtype=np.complex128)
-    _walk_slabs(mats, x0, grid)
+    _walk_slabs(maps, x0, grid)
     grid *= eval_weight_box(a, upper)[..., None]
     for axis in range(len(upper)):
         grid = kahan_cumsum(grid, axis)
@@ -208,7 +208,6 @@ def test_slab_walk_matches_per_point_walk(dims, n, chunk, last, extra,
     alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
     x = alg.random_element(rng, kind="general")
     maps = [random_map(alg, rng) for _ in n]
-    mats = [t.transfer_matrix() for t in maps]
     upper = tuple(n)
     ref = np.empty(upper + (alg.basis_size,), dtype=np.complex128)
     flat = ref.reshape(-1, alg.basis_size)
@@ -216,9 +215,9 @@ def test_slab_walk_matches_per_point_walk(dims, n, chunk, last, extra,
     def visit(pos, v):
         flat[pos] = v
 
-    ref_count = _iterate_powers(mats, alg.vec(x), upper, visit)
+    ref_count = _iterate_powers(maps, alg.vec(x), upper, visit)
     grid = np.full_like(ref, np.nan)
-    count = _walk_slabs(mats, alg.vec(x), grid)
+    count = _walk_slabs(maps, alg.vec(x), grid)
     assert count == ref_count
     assert np.abs(grid - ref).max() <= 1e-12 * (1.0 + x.max_abs())
     # the streamed grid evaluator is bitwise the whole-grid pipeline, on a
@@ -233,7 +232,7 @@ def test_slab_walk_matches_per_point_walk(dims, n, chunk, last, extra,
     slab_bytes = volume(upper[:-1]) * alg.basis_size * 16
     with mock.patch.object(averages, "CHUNK_BYTES", chunk * slab_bytes):
         fam = weighted_average_grid(a, maps, x, box)
-    want = whole_grid_pipeline(a, mats, alg.vec(x), box)
+    want = whole_grid_pipeline(a, maps, alg.vec(x), box)
     assert fam.raw().shape == want.shape
     assert fam.raw().tobytes() == want.tobytes()
     assert fam.applications == ref_count

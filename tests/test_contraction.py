@@ -1,5 +1,6 @@
 """Map constructors, verification margins, powers, and mean projections."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from ncergo._rng import generator
 from ncergo.algebra import Algebra, Element, Projection
 from ncergo.contraction import (
     CLUSTER_TOL,
+    LinearOperator,
     apply_power,
     cesaro_limit_projection,
     choi_blocks,
@@ -181,7 +183,6 @@ def test_trace_adjoint_pairing_seeded():
         ]
     )
     from ncergo.algebra import trace
-    from ncergo.contraction import LinearOperator
 
     adj = LinearOperator(alg, trace_adjoint_matrix(t))
     for _ in range(10):
@@ -627,3 +628,174 @@ def test_closed_forms_match_probed_reference(dims, single, seed):
         assert rep.choi_min_eig == full_min
     else:
         assert abs(rep.choi_min_eig - full_min) <= 1e-12 * (1.0 + np.abs(choi).max())
+
+
+# ---------------------------------------------------------------------------
+# per-block storage against the dense construction it replaced
+
+def dense_conjugation_matrix(algebra, pairs):
+    """The dense transfer matrix of x -> sum_j A_j x B_j, zero off the blocks,
+    built as the constructors did before maps were stored per block."""
+    m = np.zeros((algebra.basis_size,) * 2, dtype=np.complex128)
+    off = 0
+    for b, d in enumerate(algebra.block_dims):
+        basis = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+        acc = np.zeros_like(basis)
+        for left, right in pairs:
+            acc = acc + left[b] @ basis @ right[b]
+        m[off:off + d * d, off:off + d * d] = acc.reshape(d * d, d * d).T
+        off += d * d
+    return m
+
+
+def dense_spec(alg, spec):
+    """The dense transfer matrix of a draw_spec record, the old way."""
+    kind, p = spec
+
+    def kraus_pairs(ops):
+        return [([b.conj().T for b in k.blocks], k.blocks) for k in ops]
+
+    if kind == "scaled_unitary":
+        s, u = p
+        return s * dense_conjugation_matrix(alg, [([b.conj().T for b in u.blocks], u.blocks)])
+    if kind == "pinching":
+        return dense_conjugation_matrix(alg, [(q.element.blocks, q.element.blocks) for q in p])
+    if kind == "kraus":
+        return dense_conjugation_matrix(alg, kraus_pairs(p))
+    if kind == "substochastic":
+        return dense_conjugation_matrix(alg, kraus_pairs(substochastic_kraus(alg, p)))
+    if kind == "schur_multiplier":
+        return np.diag(p.reshape(-1))
+    if kind == "convex_combination":
+        m = np.zeros((alg.basis_size,) * 2, dtype=np.complex128)
+        for w, sub in p:
+            m = m + w * dense_spec(alg, sub)
+        return m
+    m = dense_spec(alg, p[0])
+    for sub in p[1:]:
+        m = dense_spec(alg, sub) @ m
+    return m
+
+
+@pytest.mark.parametrize("dims,stored,dense", [((4,) * 16, 4096, 65536),
+                                               ((8, 8, 8), 12288, 36864)])
+def test_per_block_storage_scales_with_the_fourth_powers(dims, stored, dense):
+    alg = Algebra(dims)
+    rng = np.random.default_rng(len(dims))
+    t = convex_combination([
+        (0.5, scaled_unitary(alg, alg.element([random_unitary(rng, d) for d in dims]))),
+        (0.5, pinching([diag_projection(alg, b, [0]) for b in range(len(dims))])),
+    ])
+    assert [m.shape for m in t.transfer_blocks] == [(d * d, d * d) for d in dims]
+    assert sum(m.size for m in t.transfer_blocks) == stored
+    assert t.transfer_matrix().size == dense
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_match_the_dense_construction(dims, single, seed):
+    if single:
+        dims = dims[:1]
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
+    spec = draw_spec(alg, rng)
+    t = build_spec(alg, spec)
+    want = dense_spec(alg, spec)
+    for b, s in enumerate(alg._slices):
+        got, ref = t.transfer_blocks[b], want[s, s]
+        if has_composition(spec):
+            assert np.abs(got - ref).max() <= 1e-15 * (1.0 + np.abs(ref).max())
+        else:
+            assert np.array_equal(got, ref)
+    owner = np.repeat(np.arange(len(dims)), [d * d for d in dims])
+    assert not np.any(want[owner[:, None] != owner[None, :]])
+
+
+def dense_verify(op, m):
+    """verify_absolute_contraction on the dense transfer matrix m, as it ran
+    before maps were stored per block: dense products, the adjoint as one
+    F-ordered matrix, and an eigensolve of every block pair of the dense
+    (n, n, n, n) Choi array."""
+    alg = op.algebra
+    n = alg.total_dim
+    one = alg.identity()
+    w = np.concatenate([np.full(d * d, wt) for d, wt in zip(alg.block_dims, alg.trace_weights)])
+    adj = np.array((m.conj().T * w[None, :]) / w[:, None], copy=True)
+
+    def min_eig(v):
+        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
+                   for b in alg.unvec(v).blocks)
+
+    vone = alg.vec(one)
+    sub = min_eig(vone - m @ vone)
+    tr = min_eig(vone - adj @ vone)
+    rows, cols = np.concatenate([
+        off + np.indices((d, d)).reshape(2, -1)
+        for off, d in zip(np.cumsum((0,) + alg.block_dims[:-1]), alg.block_dims)
+    ], axis=1)
+    choi = np.zeros((n, n, n, n), dtype=np.complex128)
+    choi[rows[None, :], rows[:, None], cols[None, :], cols[:, None]] = m
+    cuts = np.cumsum((0,) + alg.block_dims)
+    spans = [(slice(lo, hi), hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    choi_min = min(
+        float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])
+        for blk in (choi[bi, bo, bi, bo].reshape(di * do, di * do)
+                    for bi, di in spans for bo, do in spans)
+    )
+    return sub, tr, choi_min
+
+
+def assert_verify_matches_dense(t, m):
+    rep = verify_absolute_contraction(t)
+    got = (rep.subunital_margin, rep.trace_margin, rep.choi_min_eig)
+    want = dense_verify(t, m)
+    assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_matches_the_dense_choi_oracle_bitwise(dims, single, seed):
+    # off-pair Choi blocks are exact zeros: they enter the minimum as 0.0,
+    # as an eigensolve of the zero block does
+    if single:
+        dims = dims[:1]
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
+    spec = draw_spec(alg, rng)
+    t = build_spec(alg, spec)
+    assert_verify_matches_dense(t, t.transfer_matrix())
+
+
+def test_verify_matches_the_dense_choi_oracle_on_large_grid_maps():
+    from ncergo.scenario import _RunState, scenario_from_dict
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = scenario_from_dict(workloads.large_grid(root, workloads.DEFAULT_SEED))
+    maps = _RunState(cfg, cfg.budget).get_maps()
+    assert cfg.algebra.block_dims == (16, 8)
+    for t in maps:
+        assert_verify_matches_dense(t, t.transfer_matrix())
+
+
+def test_block_coupling_matrix_is_rejected():
+    alg = Algebra((2, 1))
+    m = np.eye(alg.basis_size, dtype=complex)
+    assert LinearOperator.from_matrix(alg, m).transfer_blocks[1].shape == (1, 1)
+    m[4, 0] = 1e-300  # block 0's e_00 leaks into block 1
+    with pytest.raises(StructuralError, match="couples blocks"):
+        LinearOperator.from_matrix(alg, m)
+    with pytest.raises(StructuralError, match="couples blocks"):
+        operator_from_function(alg, lambda x: alg.element(
+            [x.blocks[0], x.blocks[0][:1, :1] + x.blocks[1]]))

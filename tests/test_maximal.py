@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import stacks_of
 from ncergo._rng import generator
 from ncergo.algebra import Algebra, Box, Element, is_positive, lp_norm, positive_part
-from ncergo.averages import AverageFamily
+from ncergo.averages import AverageFamily, ergodic_average_family
 from ncergo.contraction import convex_combination, identity_map, pinching, scaled_unitary
 from ncergo.errors import NumericError, StructuralError
 from ncergo.maximal import (
@@ -418,20 +418,22 @@ def test_interpolation_seeded_positive_families():
 
 def test_interpolation_splits_a_general_family_once(monkeypatch):
     # both exponents solve over the same positive family: the positivity
-    # test and the four-positives split run once per block, and each side
-    # equals sup_plus_norm at its exponent
+    # test and the four-positives split run once per block, the family is
+    # prepared once for both solves, and each side equals sup_plus_norm at
+    # its exponent
     from ncergo import maximal
 
     alg = Algebra((2, 2), (1.0, 0.5))
     fam = stacks_of(random_family(alg, generator(28, "isp"), 3))
-    calls = {"stack_is_positive": 0, "stack_four_positives": 0}
+    calls = {"stack_is_positive": 0, "stack_four_positives": 0, "prepare_family": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(maximal, name), _name=name):
+        def counted(*args, _fn=getattr(maximal, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(maximal, name, counted)
     rep = interpolation_check(fam, p=4.0, q=2.0, algebra=alg)
-    assert calls == {"stack_is_positive": 1, "stack_four_positives": 2}
+    assert calls == {"stack_is_positive": 1, "stack_four_positives": 2,
+                     "prepare_family": 1}
     monkeypatch.undo()
     assert rep.lhs == sup_plus_norm(fam, 4.0, algebra=alg)
     assert rep.dominant_q == sup_plus_norm(fam, 2.0, algebra=alg)
@@ -557,7 +559,43 @@ def test_ladder_rows_carry_the_solve_method():
     x = alg.element([np.diag([0.7, 0.2]).astype(complex)])
     rep = maximal_inequality_report([identity_map(alg)] * 2, x, 2.0, [2, 4])
     assert [r.method for r in rep.rows] == ["commuting_exact"] * 2
-    assert rep.applications == (2 + 2 * 2) + (4 + 4 * 4)
+    # the rungs are restrictions of one walk over the largest box, [1, 4]^2
+    assert rep.applications == 4 + 4 * 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ladder_rungs_are_the_direct_families(seed):
+    # the ladder walks its largest rung within the budget once and restricts
+    # it; every rung from cutoff 2 on is the family a walk of its own box
+    # gives, bit for bit, so the rows match per-rung solves. At cutoff 1 the
+    # direct walk's one-point slab takes numpy's matrix-vector product, which
+    # rounds differently, so that rung agrees to rounding only
+    rng = np.random.default_rng(seed)
+    dims = [(2, 1), (3,), (1, 2, 2), (2,)][seed]
+    alg = Algebra(dims, tuple(rng.uniform(0.5, 2.0, size=len(dims))))
+    units = [
+        alg.element([np.linalg.qr(rng.standard_normal((d, d))
+                                  + 1j * rng.standard_normal((d, d)))[0] for d in dims])
+        for _ in range(2)
+    ]
+    maps = [convex_combination([(0.6, scaled_unitary(alg, u)),
+                                (0.4, identity_map(alg))]) for u in units]
+    x = alg.random_element(rng, kind="positive")
+    cuts = [1, 2, 3, 5, 8]
+    rep = maximal_inequality_report(maps, x, 2.0, cuts + [9], budget=64)
+    assert rep.truncated and [r.cutoff for r in rep.rows] == cuts
+    assert rep.applications == 8 + 8 * 8
+    full = ergodic_average_family(maps, x, Box.full((8, 8)))
+    for c, row in zip(cuts, rep.rows):
+        direct = ergodic_average_family(maps, x, Box.full((c, c)))
+        got = full.restrict(Box.full((c, c))).raw()
+        if c == 1:
+            assert np.abs(got - direct.raw()).max() <= 1e-15 * x.max_abs()
+            continue
+        assert np.array_equal(got, direct.raw())
+        want = dominant_element(direct.block_stacks(), 2.0, 1e-11, algebra=alg)
+        assert (row.norm, row.lower_bound, row.iterations) == (
+            want.norm, want.lower_bound, want.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,16 @@ False) and still returns a verified bracket.
 
 Sweeps over the whole family measure only the members a cheap rigorous
 bound cannot clear: Gershgorin row bounds on each member's top eigenvalue,
-Weyl's inequality on each margin lambda_min(a - x_k), and, before the
-joint-eigenbasis test reduces the whole family, the commutators of the
-first members with the first one (members that nearly share an eigenbasis
-nearly commute). Batched LAPACK works one matrix at a time, so a member
-measured alone gets bit for bit the value the full batch gives, and every
-reported number is the one an exhaustive sweep gives.
+and, before the joint-eigenbasis test reduces the whole family, the
+commutators of the first members with the first one (members that nearly
+share an eigenbasis nearly commute). A check of the solver's point a
+against the family measures only the members that can hold the smallest
+margin lambda_min(a - x_k) or be the most violated: Weyl's inequality
+bounds every margin from below, and members are measured in ascending
+order of that bound until the next one clears the smallest margin found.
+Batched LAPACK works one matrix at a time, so a member measured alone gets
+bit for bit the value the full batch gives, and every reported number is
+the one an exhaustive sweep gives.
 
 prepare_family validates a family and computes these per-member data once
 (a PreparedFamily); dominant_element takes either plain stacks, which it
@@ -67,6 +71,7 @@ STEP_GROW = 1.25  # step enlargement after every accepted step
 PROX_WEIGHT = 3.0  # p = 1 smoothing weight mu, over the family's largest entry
 ROUND_PAD = 4.0  # rounding allowance of a screened bound, in d^2 eps (scale + ||a||)
 JOINT_CHUNK = 256  # members per chunk of the joint-eigenbasis residual test
+MARGIN_CHUNK = 8  # members in a margin query's first measured chunk; chunks double
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,8 @@ class DominantReport:
     # k = members[j]; rho_k >= 0, ||sum rho_k||_q <= 1, lower_bound its pairing
     members: tuple[int, ...] = ()
     rho: tuple[np.ndarray, ...] = ()
+    margin_pad: float = 0.0  # rounding allowance of the measured feasibility_margin
+    margins_measured: int = 0  # member margins the checks and the finish measured
 
     @property
     def gap(self) -> float:
@@ -221,14 +228,19 @@ def _weyl_floor(a_blocks: list[np.ndarray], bound: np.ndarray, scale: float):
 
 
 def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
-                   bound: np.ndarray, scale: float, last=None):
+                   bound: np.ndarray, scale: float, last=None, work=(), cap: float = 0.0):
     """(low, near, pad): low[k] <= lambda_min(a - x_k), exact on near.
 
     low is the larger of the Weyl floor and, when last = (low, a, pad) of an
     earlier call, that bound less ||a - a_last|| (Weyl again), both padded
-    for rounding. near holds the members whose bound does not clear
-    FEAS_TOL * scale; they are measured, so every margin <= FEAS_TOL * scale
-    is exact.
+    for rounding. Members are then measured in ascending order of low, in
+    chunks doubling from MARGIN_CHUNK, until the next bound exceeds
+    min(m, cap), m the smallest measured margin of a member outside work;
+    near holds the measured members by index, and their margins become
+    their bounds. A member left unmeasured has a margin above min(m, cap),
+    so every margin below it is exact. With cap = 0 (a check) that fixes the
+    lift max(0, -min_k margin) and the most violated member outside work;
+    with cap = inf and work empty (the finish), the smallest margin.
     """
     low, pad = _weyl_floor(a_blocks, bound, scale)
     if last is not None:
@@ -236,27 +248,20 @@ def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
         drift = max(float(np.abs(np.linalg.eigvalsh(a_b - r_b)).max())
                     for a_b, r_b in zip(a_blocks, a_last))
         low = np.maximum(low, low_last - (drift + pad + pad_last))
-    near = np.flatnonzero(low <= FEAS_TOL * scale)
-    low[near] = _margins_full(a_blocks, [x_b[near] for x_b in stacks])
-    return low, near, pad
-
-
-def _min_margin(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
-                bound: np.ndarray, scale: float) -> float:
-    """min_k lambda_min(a - x_k), measuring only members that can reach it.
-
-    The member with the lowest Weyl floor has a margin m0 >= the minimum;
-    a member whose floor exceeds m0 (plus FEAS_TOL * scale) cannot reach it.
-    """
-    floor = _weyl_floor(a_blocks, bound, scale)[0]
-    first = int(np.argmin(floor))
-    margin = float(_margins_full(a_blocks, [x_b[[first]] for x_b in stacks])[0])
-    near = np.flatnonzero(floor <= margin + FEAS_TOL * scale)
-    near = near[near != first]
-    if near.size:
-        margin = min(margin, float(np.min(
-            _margins_full(a_blocks, [x_b[near] for x_b in stacks]))))
-    return margin
+    order = np.flatnonzero(low <= cap)
+    order = order[np.argsort(low[order], kind="stable")]
+    ascending = low[order]
+    outside = np.ones(low.size, dtype=bool)
+    outside[np.asarray(work, dtype=int)] = False
+    top, done, chunk = cap, 0, MARGIN_CHUNK
+    while done < order.size and ascending[done] <= top:
+        # the next chunk, less members whose bound already exceeds top
+        end = min(done + chunk, int(np.searchsorted(ascending, top, side="right")))
+        idx = order[done:end]
+        low[idx] = _margins_full(a_blocks, [x_b[idx] for x_b in stacks])
+        top = min(top, float(low[idx[outside[idx]]].min(initial=np.inf)))
+        done, chunk = done + idx.size, 2 * chunk
+    return low, np.sort(order[:done]), pad
 
 
 def _tau_pair(u: list[np.ndarray], v: list[np.ndarray], wts) -> float:
@@ -289,11 +294,14 @@ def _solve_dual(
     A check keeps a running lower bound on every margin (_margin_bounds):
     the larger of the Weyl floor lambda_min(a) - g_k (bound holds
     g_k >= lambda_max(x_k)) and the last check's bound less ||a - a_last||.
-    Only members whose bound does not clear FEAS_TOL * scale are measured,
-    and their measured margins become their bounds. The lift and the member
-    that joins W depend only on margins below -FEAS_TOL * scale, which are
-    always measured. The drift term clears near-duplicate members, whose
-    Weyl floor is loose.
+    Members are measured in ascending order of their bound until the next
+    bound clears min(0, smallest measured margin outside W), and measured
+    margins become their bounds. The lift and the member that joins W
+    depend only on margins below 0 and below -FEAS_TOL * scale, which are
+    always measured, so the check returns what an exhaustive sweep would.
+    The drift term clears near-duplicate members, whose Weyl floor is loose.
+    Also returned: the bounds of the check that gave the best dominant, for
+    the finish's own margin query, and the number of margins measured.
     """
     wts = alg.trace_weights
     scale = 1.0 + size
@@ -324,21 +332,23 @@ def _solve_dual(
         c = 1.0 / s_norm if p == 1.0 else (_tau_pair(x_w, rho, wts) / s_norm**q) ** (p - 1.0)
         rho = [c * r for r in rho]
 
-    best_up: tuple[float, list[np.ndarray]] = (np.inf, [])
+    best_up = (np.inf, [], None)  # (norm, a, margin bounds at its check)
     best_low = (0.0, (), [r[:0] for r in rho])  # (bound, members, rho / ||S||_q)
     last = None  # (margin bounds, a, pad) at the last check
+    measured = 0
     y = rho
     a_y = a_rho = a_of(rho)
     t_mom, step, it, converged = 1.0, 1.0, 0, False
     while True:
         if it % CHECK_EVERY == 0:
-            low, near, pad = _margin_bounds(a_rho, stacks, bound, scale, last)
+            low, near, pad = _margin_bounds(a_rho, stacks, bound, scale, last, work)
             last, margins = (low, a_rho, pad), low[near]
+            measured += near.size
             lift = max(0.0, -float(margins.min(initial=0.0)))
             a_up = [a_b + lift * np.eye(a_b.shape[-1]) for a_b in a_rho]
             up = float(stack_lp_norm(alg, [b[None] for b in a_up], p)[0])
             if up < best_up[0]:
-                best_up = (up, a_up)
+                best_up = (up, a_up, last)
             pair, s_norm = _tau_pair(x_w, rho, wts), norm_q(rho)
             if pair > best_low[0] * s_norm:
                 best_low = (pair / s_norm, tuple(work), [r / s_norm for r in rho])
@@ -380,7 +390,7 @@ def _solve_dual(
             a_y, t_mom = a_of(y), t_next
         rho, a_rho = cand, a_c
         step *= STEP_GROW
-    return best_up[1], best_low, it, converged
+    return best_up[1], best_low, it, converged, best_up[2], measured
 
 
 def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
@@ -466,8 +476,9 @@ def dominant_element(
     bound = prep.bound
 
     def finish(a_el: Element, norm, lower, iters, converged, method,
-               members=(), rho=()):
-        margin = _min_margin(list(a_el.blocks), stacks, bound, scale)
+               members=(), rho=(), measured=0, last=None):
+        low, near, pad = _margin_bounds(list(a_el.blocks), stacks, bound, scale,
+                                        last, cap=np.inf)
         norm, lower = float(norm), float(lower)
         if lower > norm:
             # the dual bound can pass the primal norm only by rounding
@@ -478,8 +489,9 @@ def dominant_element(
                 )
             lower = norm
         return DominantReport(
-            a_el, p, norm, lower, int(iters), margin, bool(converged), method,
-            tuple(int(k) for k in members), tuple(rho),
+            a_el, p, norm, lower, int(iters), float(low[near].min()), bool(converged),
+            method, tuple(int(k) for k in members), tuple(rho), float(pad),
+            measured + near.size,
         )
 
     if p == np.inf:
@@ -511,12 +523,12 @@ def dominant_element(
         a = alg.element(a_blocks, True)
         return finish(a, norm, norm, 0, True, "commuting_exact")
 
-    a_blocks, (lower, members, rho), iters, converged = _solve_dual(
+    a_blocks, (lower, members, rho), iters, converged, last, measured = _solve_dual(
         stacks, alg, p, tol, max_iter, bound, size
     )
     a = alg.element(a_blocks, True)
     return finish(a, lp_norm(a, p), lower, iters, converged, "dual_fista",
-                  members, rho)
+                  members, rho, measured, last)
 
 
 def sup_plus_norm(

@@ -92,6 +92,13 @@ def trial_dominants(kind, stacks, top, rng):
     return [stack_positive_part(x_b[0]) for x_b in stacks]  # violated by most members
 
 
+def check_outcome(margins, members, work, scale):
+    """(lift, joining member or None) as the solver's check takes them."""
+    lift = max(0.0, -float(margins.min(initial=0.0)))
+    viol = np.flatnonzero((margins < -FEAS_TOL * scale) & ~np.isin(members, work))
+    return lift, int(members[viol[np.argmin(margins[viol])]]) if viol.size else None
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -99,9 +106,10 @@ def trial_dominants(kind, stacks, top, rng):
     kind=st.sampled_from(("diagonal", "near_duplicate", "plus_minus", "general")),
     a_kind=st.sampled_from(("top", "top_perturbed", "sum_positive", "first_positive")),
     drift=st.sampled_from((0.0, 1e-13, 1e-6, 1e-2)),
+    work_size=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_screened_kernels_equal_unscreened(dims, n, kind, a_kind, drift, seed):
+def test_screened_kernels_equal_unscreened(dims, n, kind, a_kind, drift, work_size, seed):
     stacks = screen_family(kind, seed, dims, n)
     rng = np.random.default_rng(seed + 1)
     scale = 1.0 + max(float(np.abs(s).max()) for s in stacks)
@@ -113,21 +121,29 @@ def test_screened_kernels_equal_unscreened(dims, n, kind, a_kind, drift, seed):
     k, top = full_top(stacks)
     assert maximal._top_member(stacks, bound, scale) == (k, top)
 
-    # finish's minimum margin
+    # the finish's query (cap = inf, no working set): the minimum margin
     a = trial_dominants(a_kind, stacks, top, rng)
     exact = full_margins(a, stacks)
-    assert maximal._min_margin(a, stacks, bound, scale) == exact.min()
+    low, near, _ = maximal._margin_bounds(a, stacks, bound, scale, cap=np.inf)
+    assert low[near].min() == exact.min()
+    assert np.all(low[near] == exact[near]) and np.all(low <= exact)
 
-    # the checks' running bounds: exact on every member that can bind, and
-    # never above a margin, also after a drift from the last check's a
+    # the checks' running bounds, also after a drift from the last check's
+    # a: the lift and the joining member (the first on ties) are those of a
+    # full sweep; low never exceeds a margin and is exact where measured.
+    # The working set holds the most violated members, as in the solver,
+    # so the joining member must come from further up
+    work = [int(j) for j in np.argsort(exact, kind="stable")[:work_size]]
     last = None
     for a_t in (a, [b + drift * hermitian(rng, b.shape) for b in a]):
         exact = full_margins(a_t, stacks)
-        low, near, _ = maximal._margin_bounds(a_t, stacks, bound, scale, last)
+        low, near, pad = maximal._margin_bounds(a_t, stacks, bound, scale, last, work)
+        assert np.all(near[1:] > near[:-1])
         assert np.all(low[near] == exact[near])
-        assert set(np.flatnonzero(exact <= FEAS_TOL * scale)) <= set(near)
         assert np.all(low <= exact)
-        last = (low, a_t, _)
+        assert check_outcome(low[near], near, work, scale) == check_outcome(
+            exact, np.arange(n), work, scale)
+        last = (low, a_t, pad)
 
 
 def test_min_margin_reaches_past_the_lowest_floor():
@@ -140,7 +156,8 @@ def test_min_margin_reaches_past_the_lowest_floor():
     zero = [np.zeros((2, 2), dtype=complex)]
     floor = maximal._weyl_floor(zero, bound, 1.6)[0]
     assert floor[0] < floor[1]
-    assert maximal._min_margin(zero, stacks, bound, 1.6) == full_margins(zero, stacks).min()
+    low, near, _ = maximal._margin_bounds(zero, stacks, bound, 1.6, cap=np.inf)
+    assert low[near].min() == full_margins(zero, stacks).min()
     assert full_margins(zero, stacks).min() == pytest.approx(-0.7935)
 
 
@@ -216,11 +233,13 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
         return svd(a, *args, **kwargs)
 
     def wrap(fn, name, size):
-        def wrapped(*args):
-            measured[name].append([0, size(*args)])
-            counting["on"] = name
+        def wrapped(*args, **kwargs):
+            # the finish's margin query is the one with cap = inf
+            key = "finish" if kwargs.get("cap") == np.inf else name
+            measured[key].append([0, size(*args)])
+            counting["on"] = key
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 counting["on"] = None
         return wrapped
@@ -229,8 +248,6 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", count_svd)
     monkeypatch.setattr(maximal, "_margin_bounds", wrap(
         maximal._margin_bounds, "checks", lambda a, stacks, *_: stacks[0].shape[0]))
-    monkeypatch.setattr(maximal, "_min_margin", wrap(
-        maximal._min_margin, "finish", lambda a, stacks, *_: stacks[0].shape[0]))
     monkeypatch.setattr(bau, "_compressed_sup", wrap(
         bau._compressed_sup, "sup", lambda e, stacks, *_: stacks[0].shape[0]))
 
@@ -245,13 +262,56 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
     finish = [m for m in measured["finish"] if m[1] == 8192]
     sup = [m for m in measured["sup"] if m[1] == 4096]
     assert checks and finish and sup
-    # the first check meets the start point with loose floors; later ones
-    # measure almost nothing (about 17% over all checks at the default seed)
-    assert sum(c for c, _ in checks) < 0.5 * sum(t for _, t in checks)
+    # every check measures only the members that can bind (about 0.1% of
+    # the members over all checks at the default seed)
+    assert sum(c for c, _ in checks) < 0.05 * sum(t for _, t in checks)
     for count, total in finish:
         assert count < 0.05 * total
     for count, total in sup:
         assert count < 0.10 * total
+
+
+def residual_plus_minus(seed, dims, n):
+    """Certify's +-family of n decaying Hermitian residuals, interleaved."""
+    rng = np.random.default_rng(seed)
+    decay = 1.0 / np.arange(1, n + 1)[:, None, None]
+    return bau._PreparedPart([decay * hermitian(rng, (n, d, d)) for d in dims]).plus_minus(
+        np.arange(n))
+
+
+def unscreened_margin_bounds(a_blocks, stacks, bound, scale, last=None, work=(), cap=0.0):
+    # every member measured, at every check and at the finish
+    pad = maximal._weyl_floor(a_blocks, bound, scale)[1]
+    return full_margins(a_blocks, stacks), np.arange(stacks[0].shape[0]), pad
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    n=st.integers(2, 120),
+    p=st.sampled_from((1.0, 1.5, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_solve_equals_measuring_every_member(dims, n, p, seed):
+    alg = Algebra(dims)
+    fam = residual_plus_minus(seed, dims, n)
+    got = maximal.dominant_element(fam, p, tol=1e-6, max_iter=300, algebra=alg)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(maximal, "_margin_bounds", unscreened_margin_bounds)
+        want = maximal.dominant_element(fam, p, tol=1e-6, max_iter=300, algebra=alg)
+    same_report(got, want)
+    assert got.margins_measured <= want.margins_measured
+
+
+@pytest.mark.parametrize("dims", [(4,), (3, 2)])
+def test_first_check_measures_few_members_of_a_plus_minus_family(dims):
+    # max_iter 0: one check at the start point (the scaled positive part of
+    # one member, rank-deficient, so every Weyl floor is loose), then the
+    # finish; together they measure at most 5% of the 2,000 members
+    fam = residual_plus_minus(3, dims, 1000)
+    rep = maximal.dominant_element(fam, 2.0, max_iter=0, algebra=Algebra(dims))
+    assert rep.method == "dual_fista" and rep.iterations == 0
+    assert 0 < rep.margins_measured <= 0.05 * 2000
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,10 @@ def _certify_part(
     a = rep.dominant
     if not rep.converged:
         flags.append("bound not tight: dominant solve hit the iteration cap")
-    lift = max(0.0, -rep.feasibility_margin)
-    if lift > 0.0:
+    # a re-measured margin within its rounding allowance is no shortfall:
+    # the dual route has already lifted its dominant by the exact margins
+    lift = -rep.feasibility_margin
+    if lift > rep.margin_pad:
         a = a + alg.scalar(lift)
         flags.append(f"dominant lifted by {lift:.3g} to restore exact feasibility")
     norm = lp_norm(a, p)

@@ -1,10 +1,13 @@
 """Tail-projection certificates checked against scalar oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncergo import bau
 from ncergo.algebra import Algebra, Box, lp_norm, trace
 from ncergo.averages import AverageFamily
 from ncergo.bau import (
@@ -272,3 +275,54 @@ def test_returned_certificates_are_sound(shape, n, seed, eps_frac):
     assert cert.trace_complement == sum(
         w * (d - r) for w, d, r in zip(weights, dims, ranks))
     assert cert.tail_sup <= cert.lam + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the dominant's lift: only a shortfall beyond rounding is lifted and flagged
+
+def shifted_dominant(monkeypatch, shift_of):
+    """Make certify's solves return their dominant moved by shift_of(rep) * 1."""
+    solve = bau.dominant_element
+    shifted = []
+
+    def solve_shifted(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        shift = shift_of(rep)
+        rep = dataclasses.replace(
+            rep, dominant=rep.dominant + kwargs["algebra"].scalar(shift),
+            feasibility_margin=rep.feasibility_margin + shift)
+        shifted.append(rep)
+        return rep
+
+    monkeypatch.setattr(bau, "dominant_element", solve_shifted)
+    return shifted
+
+
+def random_residuals(dims, n, seed):
+    alg = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    rows = [alg.vec(alg.random_element(rng, kind="hermitian")) / k for k in range(1, n + 1)]
+    return AverageFamily(alg, Box((1,), (n,)), np.stack(rows), "synthetic")
+
+
+def test_margin_within_rounding_is_not_lifted(monkeypatch):
+    fam = random_residuals((3, 2), 12, 4)
+    shifted = shifted_dominant(
+        monkeypatch, lambda rep: -0.5 * rep.margin_pad - rep.feasibility_margin)
+    cert = certify_bau(fam, p=2.0, epsilon=0.1)
+    (rep,) = shifted
+    assert -rep.margin_pad < rep.feasibility_margin < 0.0
+    assert not any("lifted" in f for f in cert.flags)
+    assert cert.dominant_norm == lp_norm(rep.dominant, 2.0)
+
+
+def test_shortfall_beyond_rounding_is_lifted_and_flagged(monkeypatch):
+    fam = random_residuals((3, 2), 12, 4)
+    shifted = shifted_dominant(monkeypatch, lambda rep: -1e-6)
+    cert = certify_bau(fam, p=2.0, epsilon=0.1)
+    (rep,) = shifted
+    assert rep.feasibility_margin < -rep.margin_pad
+    lift = -rep.feasibility_margin
+    assert f"dominant lifted by {lift:.3g} to restore exact feasibility" in cert.flags
+    assert cert.dominant_norm == lp_norm(rep.dominant + fam.algebra.scalar(lift), 2.0)
+    assert cert.sound

@@ -59,6 +59,7 @@ class BauCertificate:
     tail_size: int
     flags: tuple[str, ...] = ()
     iterations: int = 0  # of the dominant solves behind the certificate
+    converged: bool = True  # False when one of those solves hit its iteration cap
 
     @property
     def sound(self) -> bool:
@@ -217,7 +218,7 @@ def _certify_part(
 
     cert = BauCertificate(
         e, eps_val, lam_val, p, onset, tail_sup, norm, trace_comp,
-        len(idx), tuple(flags), rep.iterations,
+        len(idx), tuple(flags), rep.iterations, rep.converged,
     )
     if not cert.sound:
         raise IntegrityError(
@@ -294,7 +295,7 @@ def _certify_tails(
                 cert.e, cert.epsilon, cert.lam, cert.p, cert.onset, tail_sup,
                 cert.dominant_norm, cert.trace_complement, cert.tail_size,
                 cert.flags + ("imaginary part negligible; certified the real part",),
-                cert.iterations,
+                cert.iterations, cert.converged,
             ))
             continue
         half = float(epsilon) / 2.0
@@ -312,6 +313,7 @@ def _certify_tails(
             e, float(epsilon), lam, float(p), cert_r.onset, tail_sup,
             cert_r.dominant_norm + cert_i.dominant_norm, trace_comp,
             len(idx), flags, cert_r.iterations + cert_i.iterations,
+            cert_r.converged and cert_i.converged,
         )
         if not cert.sound:
             raise IntegrityError(

@@ -891,6 +891,7 @@ def _run_certify(state: _RunState) -> TaskResult:
         "final_trace_complement": final.trace_complement,
         "min_tail_sup": min(c.tail_sup for c in certs),
         "all_sound": all(c.sound for c in certs),
+        "unconverged_solves": sum(not c.converged for c in certs),
         "projection_text": element_to_text(final.e.element),
     }
     status = "ok" if summary["all_sound"] else "failed"

@@ -326,3 +326,11 @@ def test_shortfall_beyond_rounding_is_lifted_and_flagged(monkeypatch):
     assert f"dominant lifted by {lift:.3g} to restore exact feasibility" in cert.flags
     assert cert.dominant_norm == lp_norm(rep.dominant + fam.algebra.scalar(lift), 2.0)
     assert cert.sound
+
+
+def test_capped_solve_marks_the_certificate_unconverged():
+    fam = random_residuals((3, 2), 12, 4)
+    assert certify_bau(fam, p=2.0, epsilon=0.1).converged
+    cert = certify_bau(fam, p=2.0, epsilon=0.1, max_iter=1)
+    assert not cert.converged and cert.sound
+    assert "bound not tight: dominant solve hit the iteration cap" in cert.flags

@@ -248,6 +248,25 @@ def test_maximal_summary_counts_unconverged_rungs(monkeypatch):
     assert task.summary["unconverged_rungs"] == 1
 
 
+def test_certify_summary_counts_unconverged_solves(monkeypatch):
+    # a certify row whose dominant solve hit the iteration cap shows in the
+    # summary, not only in the row's flags; the capped solve is simulated
+    from ncergo import scenario
+
+    def capped_last_row(*args, **kwargs):
+        certs = onset_ladder(*args, **kwargs)
+        return certs[:-1] + (dataclasses.replace(certs[-1], converged=False),)
+
+    onset_ladder = scenario.onset_ladder
+    cfg = scenario_from_dict(small_config())
+    task = run_scenario(cfg, tasks=["certify"]).tasks[-1]
+    assert task.name == "certify" and task.summary["unconverged_solves"] == 0
+    monkeypatch.setattr(scenario, "onset_ladder", capped_last_row)
+    task = run_scenario(cfg, tasks=["certify"]).tasks[-1]
+    assert task.name == "certify" and len(task.tables[0].rows) >= 2
+    assert task.summary["unconverged_solves"] == 1
+
+
 def test_csv_formatting():
     from ncergo.scenario import Table
 

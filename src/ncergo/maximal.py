@@ -24,8 +24,8 @@ commutators of the first members with the first one (members that nearly
 share an eigenbasis nearly commute). A check of the solver's point a
 against the family measures only the members that can hold the smallest
 margin lambda_min(a - x_k) or be the most violated: Weyl's inequality
-bounds every margin from below, and members are measured in ascending
-order of that bound until the next one clears the smallest margin found.
+bounds every margin from below, and members are measured, lowest bounds
+first, until every bound left clears the smallest margin found.
 Batched LAPACK works one matrix at a time, so a member measured alone gets
 bit for bit the value the full batch gives, and every reported number is
 the one an exhaustive sweep gives.
@@ -71,7 +71,7 @@ STEP_GROW = 1.25  # step enlargement after every accepted step
 PROX_WEIGHT = 3.0  # p = 1 smoothing weight mu, over the family's largest entry
 ROUND_PAD = 4.0  # rounding allowance of a screened bound, in d^2 eps (scale + ||a||)
 JOINT_CHUNK = 256  # members per chunk of the joint-eigenbasis residual test
-MARGIN_CHUNK = 8  # members in a margin query's first measured chunk; chunks double
+MARGIN_CHUNK = 8  # a margin query measures chunks of 1, 8, 64, ... members
 
 
 @dataclass(frozen=True)
@@ -233,14 +233,15 @@ def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
 
     low is the larger of the Weyl floor and, when last = (low, a, pad) of an
     earlier call, that bound less ||a - a_last|| (Weyl again), both padded
-    for rounding. Members are then measured in ascending order of low, in
-    chunks doubling from MARGIN_CHUNK, until the next bound exceeds
-    min(m, cap), m the smallest measured margin of a member outside work;
-    near holds the measured members by index, and their margins become
-    their bounds. A member left unmeasured has a margin above min(m, cap),
-    so every margin below it is exact. With cap = 0 (a check) that fixes the
-    lift max(0, -min_k margin) and the most violated member outside work;
-    with cap = inf and work empty (the finish), the smallest margin.
+    for rounding. Members are then measured in chunks of 1, MARGIN_CHUNK,
+    MARGIN_CHUNK^2, ... members, each the lowest bounds that do not clear
+    min(m, cap), m the smallest measured margin of a member outside work,
+    until every bound left clears it; near holds the measured members by
+    index, and their margins become their bounds. A member left unmeasured
+    has a margin above min(m, cap), so every margin below it is exact. With
+    cap = 0 (a check) that fixes the lift max(0, -min_k margin) and the most
+    violated member outside work; with cap = inf and work empty (the
+    finish), the smallest margin.
     """
     low, pad = _weyl_floor(a_blocks, bound, scale)
     if last is not None:
@@ -248,20 +249,21 @@ def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
         drift = max(float(np.abs(np.linalg.eigvalsh(a_b - r_b)).max())
                     for a_b, r_b in zip(a_blocks, a_last))
         low = np.maximum(low, low_last - (drift + pad + pad_last))
-    order = np.flatnonzero(low <= cap)
-    order = order[np.argsort(low[order], kind="stable")]
-    ascending = low[order]
     outside = np.ones(low.size, dtype=bool)
     outside[np.asarray(work, dtype=int)] = False
-    top, done, chunk = cap, 0, MARGIN_CHUNK
-    while done < order.size and ascending[done] <= top:
-        # the next chunk, less members whose bound already exceeds top
-        end = min(done + chunk, int(np.searchsorted(ascending, top, side="right")))
-        idx = order[done:end]
+    measured = np.zeros(low.size, dtype=bool)
+    top, chunk = cap, 1
+    while True:
+        idx = np.flatnonzero((low <= top) & ~measured)
+        if not idx.size:
+            break
+        if idx.size > chunk:
+            idx = idx[np.argpartition(low[idx], chunk)[:chunk]]
         low[idx] = _margins_full(a_blocks, [x_b[idx] for x_b in stacks])
+        measured[idx] = True
         top = min(top, float(low[idx[outside[idx]]].min(initial=np.inf)))
-        done, chunk = done + idx.size, 2 * chunk
-    return low, np.sort(order[:done]), pad
+        chunk *= MARGIN_CHUNK
+    return low, np.flatnonzero(measured), pad
 
 
 def _tau_pair(u: list[np.ndarray], v: list[np.ndarray], wts) -> float:
@@ -294,9 +296,9 @@ def _solve_dual(
     A check keeps a running lower bound on every margin (_margin_bounds):
     the larger of the Weyl floor lambda_min(a) - g_k (bound holds
     g_k >= lambda_max(x_k)) and the last check's bound less ||a - a_last||.
-    Members are measured in ascending order of their bound until the next
-    bound clears min(0, smallest measured margin outside W), and measured
-    margins become their bounds. The lift and the member that joins W
+    Members are measured, lowest bounds first, until every bound left
+    clears min(0, smallest measured margin outside W), and measured margins
+    become their bounds. The lift and the member that joins W
     depend only on margins below 0 and below -FEAS_TOL * scale, which are
     always measured, so the check returns what an exhaustive sweep would.
     The drift term clears near-duplicate members, whose Weyl floor is loose.

@@ -272,11 +272,12 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
 
 
 def residual_plus_minus(seed, dims, n):
-    """Certify's +-family of n decaying Hermitian residuals, interleaved."""
+    """Certify's +-family of n decaying Hermitian residuals, interleaved in
+    a shuffled order, so that member index says nothing of size."""
     rng = np.random.default_rng(seed)
     decay = 1.0 / np.arange(1, n + 1)[:, None, None]
     return bau._PreparedPart([decay * hermitian(rng, (n, d, d)) for d in dims]).plus_minus(
-        np.arange(n))
+        rng.permutation(n))
 
 
 def unscreened_margin_bounds(a_blocks, stacks, bound, scale, last=None, work=(), cap=0.0):

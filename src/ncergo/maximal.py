@@ -71,7 +71,7 @@ STEP_GROW = 1.25  # step enlargement after every accepted step
 PROX_WEIGHT = 3.0  # p = 1 smoothing weight mu, over the family's largest entry
 ROUND_PAD = 4.0  # rounding allowance of a screened bound, in d^2 eps (scale + ||a||)
 JOINT_CHUNK = 256  # members per chunk of the joint-eigenbasis residual test
-MARGIN_CHUNK = 8  # a margin query measures chunks of 1, 8, 64, ... members
+MARGIN_CHUNK = 8  # a margin query measures chunks of 8, 64, 512, ... members
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
 
     low is the larger of the Weyl floor and, when last = (low, a, pad) of an
     earlier call, that bound less ||a - a_last|| (Weyl again), both padded
-    for rounding. Members are then measured in chunks of 1, MARGIN_CHUNK,
+    for rounding. Members are then measured in chunks of MARGIN_CHUNK,
     MARGIN_CHUNK^2, ... members, each the lowest bounds that do not clear
     min(m, cap), m the smallest measured margin of a member outside work,
     until every bound left clears it; near holds the measured members by
@@ -252,7 +252,7 @@ def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
     outside = np.ones(low.size, dtype=bool)
     outside[np.asarray(work, dtype=int)] = False
     measured = np.zeros(low.size, dtype=bool)
-    top, chunk = cap, 1
+    top, chunk = cap, MARGIN_CHUNK
     while True:
         idx = np.flatnonzero((low <= top) & ~measured)
         if not idx.size:
@@ -298,10 +298,10 @@ def _solve_dual(
     g_k >= lambda_max(x_k)) and the last check's bound less ||a - a_last||.
     Members are measured, lowest bounds first, until every bound left
     clears min(0, smallest measured margin outside W), and measured margins
-    become their bounds. The lift and the member that joins W
-    depend only on margins below 0 and below -FEAS_TOL * scale, which are
-    always measured, so the check returns what an exhaustive sweep would.
-    The drift term clears near-duplicate members, whose Weyl floor is loose.
+    become their bounds. The lift and the member that joins W depend only
+    on margins below 0 and below -FEAS_TOL * scale, which are always
+    measured, so the check returns what an exhaustive sweep would. The
+    drift term clears near-duplicate members, whose Weyl floor is loose.
     Also returned: the bounds of the check that gave the best dominant, for
     the finish's own margin query, and the number of margins measured.
     """

@@ -262,7 +262,7 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
     finish = [m for m in measured["finish"] if m[1] == 8192]
     sup = [m for m in measured["sup"] if m[1] == 4096]
     assert checks and finish and sup
-    # every check measures only the members that can bind (about 0.1% of
+    # every check measures only the members that can bind (about 0.2% of
     # the members over all checks at the default seed)
     assert sum(c for c, _ in checks) < 0.05 * sum(t for _, t in checks)
     for count, total in finish:

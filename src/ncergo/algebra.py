@@ -210,6 +210,11 @@ class Algebra:
         blocks = [v[s].reshape(d, d) for s, d in zip(self._slices, self.block_dims)]
         return Element(self, blocks, hermitian_hint)
 
+    def block_stacks(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Views (n, d_b, d_b), one per block, of vectorized members (n, basis_size)."""
+        return [rows[:, s].reshape(-1, d, d)
+                for s, d in zip(self._slices, self.block_dims)]
+
 
 class Element:
     """Immutable member of an Algebra: one dense complex block per summand."""

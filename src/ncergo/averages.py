@@ -9,7 +9,11 @@ evaluation routes are provided and cross-checked by the test suite:
 
   direct      explicit lexicographic summation at a single N,
   grid        prefix sums over a whole box of N at once (compensated
-              accumulation, O(box) map applications),
+              accumulation, O(box) map applications): GridStream yields
+              the box's averages a chunk of the last axis at a time, and
+              weighted_average_grid gathers them into an AverageFamily;
+              a consumer that reduces each A_N on its own reads the
+              stream and never holds the box,
   factorized  per-axis one-parameter averages, valid for trig polynomial
               weights only, O(sum N_i) map applications per term.
 
@@ -83,11 +87,8 @@ class AverageFamily:
 
     def block_stacks(self) -> list[np.ndarray]:
         """Read-only views (n, d_b, d_b), one per block, members in items() order."""
-        flat = self._data.reshape(-1, self.algebra.basis_size)
-        return [
-            flat[:, seg].reshape(-1, d, d)
-            for seg, d in zip(self.algebra._slices, self.algebra.block_dims)
-        ]
+        return self.algebra.block_stacks(
+            self._data.reshape(-1, self.algebra.basis_size))
 
     def restrict(self, box: Box) -> "AverageFamily":
         if not (self.box.contains(box.lower) and self.box.contains(box.upper)):
@@ -213,6 +214,96 @@ def weighted_average_direct(
     return alg.unvec(acc / volume(nt))
 
 
+class GridStream:
+    """All A_N for N in a box, produced a chunk of the last axis at a time.
+
+    The constructor checks the inputs and the budget; `chunks` walks. It
+    needs O(points of [1, box.upper]) map applications in total, which it
+    leaves in `applications`. Axes 1..d-1 are walked into a lead slab (one
+    matrix product per block and step of each axis, see _walk_slabs); the
+    last axis is then walked on from it, in the same per-block products, in
+    chunks of slabs of about CHUNK_BYTES. Each chunk is weighted, summed
+    along axes 1..d-1 in place, summed along the last axis with the
+    (total, compensation) pair carried from the chunk before, and divided
+    by |N|. Every entry sees the same operations in the same order as a
+    whole-grid walk followed by one compensated cumulative sum per axis, so
+    the averages are bitwise those; only a chunk, not the grid over
+    [1, box.upper], is held.
+    """
+
+    def __init__(self, a: Weight, maps: Sequence[LinearOperator], x: Element,
+                 box: Box, budget: int = DEFAULT_BUDGET):
+        _check_inputs(a, maps, x)
+        if box.dim != len(maps):
+            raise StructuralError("box dimension does not match the number of maps")
+        if volume(box.upper) > budget:
+            raise BudgetError(
+                f"grid over [1, {box.upper}] has {volume(box.upper)} points, "
+                f"budget is {budget}; use the factorized evaluator or raise the budget"
+            )
+        self.weight, self.maps, self.x, self.box = a, maps, x, box
+        self.algebra = x.algebra
+        self.applications = 0
+
+    def chunks(self, out: np.ndarray | None = None
+               ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield (lo, hi, block) for consecutive last-axis offsets [lo, hi)
+        in the box, block[t] being the averages at last-axis offset lo + t,
+        shaped (hi - lo,) + box.shape[:-1] + (dim,).
+
+        Each block is divided straight into out[lo:hi] when `out` (shaped
+        (box.shape[-1],) + box.shape[:-1] + (dim,)) is given, and otherwise
+        in place, in the stream's chunk buffer, which the next chunk
+        overwrites.
+        """
+        box, upper = self.box, self.box.upper
+        dim = self.algebra.basis_size
+        slab = np.empty(upper[:-1] + (dim,), dtype=np.complex128)
+        apps = _walk_slabs(self.maps[:-1], self.algebra.vec(self.x), slab)
+        last, t_last = upper[-1], self.maps[-1]
+        self.applications = apps + volume(upper[:-1]) * last
+        # the last axis comes first in chunks, weights and volumes: chunk[t] is a slab
+        w = np.moveaxis(eval_weight_box(self.weight, upper), -1, 0)
+        vols = np.moveaxis(reduce(
+            np.multiply.outer,
+            [np.arange(1, u + 1, dtype=np.float64) for u in upper],
+        ).reshape(upper), -1, 0)
+        sel = (slice(None),) + tuple(
+            slice(l - 1, u) for l, u in zip(box.lower[:-1], upper[:-1])
+        )
+        first = box.lower[-1] - 1
+        # chunks of at least two slabs, and no one-slab tail: numpy rounds an
+        # in-place complex multiply over one element differently from its bulk
+        # loop, so a chunk may hold a single element only when the grid does
+        size = min(last, max(2, CHUNK_BYTES // slab.nbytes))
+        ends = list(range(size, last, size)) + [last]
+        if len(ends) > 1 and ends[-1] - ends[-2] == 1:
+            del ends[-2]
+        # slabs are walked as 2-D (points, d_b^2) products, as in _walk_slabs: a
+        # stacked matmul would take another BLAS route and round differently
+        rows = slab.reshape(-1, dim)
+        chunk = np.empty((min(size + 1, last),) + rows.shape, dtype=np.complex128)
+        carry: list = []
+        for s0, s1 in zip([0] + ends[:-1], ends):
+            c = chunk[:s1 - s0]
+            prev = rows
+            for t in range(len(c)):
+                t_last.apply_rows(prev, c[t])
+                prev = c[t]
+            rows[...] = prev
+            c = c.reshape((len(c),) + slab.shape)
+            c *= w[s0:s1, ..., None]
+            for axis in range(1, len(upper)):
+                kahan_cumsum(c, axis, out=c)
+            kahan_cumsum(c, 0, out=c, carry=carry)
+            lo = max(first, s0)
+            if lo < s1:
+                c = c[lo - s0:][sel]
+                block = c if out is None else out[lo - first:s1 - first]
+                np.divide(c, vols[lo:s1][sel][..., None], out=block)
+                yield lo - first, s1 - first, block
+
+
 def weighted_average_grid(
     a: Weight,
     maps: Sequence[LinearOperator],
@@ -220,76 +311,13 @@ def weighted_average_grid(
     box: Box,
     budget: int = DEFAULT_BUDGET,
 ) -> AverageFamily:
-    """All A_N for N in the box, via compensated prefix sums in one stream.
-
-    Needs O(points of [1, box.upper]) map applications in total. Axes
-    1..d-1 are walked into a lead slab (one matrix product per block and
-    step of each axis, see _walk_slabs); the last axis is then walked on
-    from it, in the same per-block products, in chunks of slabs of about
-    CHUNK_BYTES. Each chunk is weighted, summed
-    along axes 1..d-1 in place, summed along the last axis with the
-    (total, compensation) pair carried from the chunk before, and divided
-    by |N| into the family. Every entry sees the same operations in the
-    same order as a whole-grid walk followed by one compensated cumulative
-    sum per axis, so the averages are bitwise those; only a chunk, not the
-    grid over [1, box.upper], is held besides the family.
-    """
-    _check_inputs(a, maps, x)
-    if box.dim != len(maps):
-        raise StructuralError("box dimension does not match the number of maps")
-    upper = box.upper
-    if volume(upper) > budget:
-        raise BudgetError(
-            f"grid over [1, {upper}] has {volume(upper)} points, budget is {budget}; "
-            "use the factorized evaluator or raise the budget"
-        )
-    alg = x.algebra
-    dim = alg.basis_size
-    slab = np.empty(upper[:-1] + (dim,), dtype=np.complex128)
-    apps = _walk_slabs(maps[:-1], alg.vec(x), slab)
-    last, t_last = upper[-1], maps[-1]
-    apps += volume(upper[:-1]) * last
-    # the last axis comes first in chunks, weights and volumes: chunk[t] is a slab
-    w = np.moveaxis(eval_weight_box(a, upper), -1, 0)
-    vols = np.moveaxis(reduce(
-        np.multiply.outer,
-        [np.arange(1, u + 1, dtype=np.float64) for u in upper],
-    ).reshape(upper), -1, 0)
-    sel = (slice(None),) + tuple(
-        slice(l - 1, u) for l, u in zip(box.lower[:-1], upper[:-1])
-    )
-    first = box.lower[-1] - 1
-    data = np.empty(box.shape + (dim,), dtype=np.complex128)
-    out = np.moveaxis(data, -2, 0)
-    # chunks of at least two slabs, and no one-slab tail: numpy rounds an
-    # in-place complex multiply over one element differently from its bulk
-    # loop, so a chunk may hold a single element only when the grid does
-    size = min(last, max(2, CHUNK_BYTES // slab.nbytes))
-    ends = list(range(size, last, size)) + [last]
-    if len(ends) > 1 and ends[-1] - ends[-2] == 1:
-        del ends[-2]
-    # slabs are walked as 2-D (points, d_b^2) products, as in _walk_slabs: a
-    # stacked matmul would take another BLAS route and round differently
-    rows = slab.reshape(-1, dim)
-    chunk = np.empty((min(size + 1, last),) + rows.shape, dtype=np.complex128)
-    carry: list = []
-    for s0, s1 in zip([0] + ends[:-1], ends):
-        c = chunk[:s1 - s0]
-        prev = rows
-        for t in range(len(c)):
-            t_last.apply_rows(prev, c[t])
-            prev = c[t]
-        rows[...] = prev
-        c = c.reshape((len(c),) + slab.shape)
-        c *= w[s0:s1, ..., None]
-        for axis in range(1, len(upper)):
-            kahan_cumsum(c, axis, out=c)
-        kahan_cumsum(c, 0, out=c, carry=carry)
-        lo = max(first, s0)
-        if lo < s1:
-            np.divide(c[lo - s0:][sel], vols[lo:s1][sel][..., None],
-                      out=out[lo - first:s1 - first])
-    return AverageFamily(alg, box, data, "grid", apps)
+    """All A_N for N in the box: the GridStream's chunks divided straight
+    into the family, so only a chunk is held besides it."""
+    stream = GridStream(a, maps, x, box, budget)
+    data = np.empty(box.shape + (x.algebra.basis_size,), dtype=np.complex128)
+    for _ in stream.chunks(np.moveaxis(data, -2, 0)):
+        pass
+    return AverageFamily(x.algebra, box, data, "grid", stream.applications)
 
 
 def weighted_average_factorized(

@@ -36,7 +36,12 @@ from .algebra import (
     stack_lp_norm,
     stack_trace,
 )
-from .averages import ergodic_average_family, limit_oracle, weighted_average_grid
+from .averages import (
+    AverageFamily,
+    GridStream,
+    ergodic_average_family,
+    limit_oracle,
+)
 from .bau import onset_ladder
 from .contraction import (
     AbsoluteContraction,
@@ -664,13 +669,14 @@ def parse_report(text: str) -> RunReport:
 # task execution
 
 class _RunState:
-    def __init__(self, config: ScenarioConfig, budget: int):
+    def __init__(self, config: ScenarioConfig, budget: int,
+                 tasks: frozenset[str] = frozenset(TASK_ORDER)):
         self.config = config
         self.budget = budget
+        self.tasks = tasks  # the run's tasks, closed under dependencies
         self.maps: list[AbsoluteContraction] | None = None
         self.x: Element | None = None
-        self.family = None
-        self.shifted = None  # family minus its limit, for trig weights
+        self.shifted = None  # family minus its limit, kept for certify only
         self.map_applications = 0
         self.dominant_iterations = 0
 
@@ -772,24 +778,46 @@ def _run_average(state: _RunState) -> TaskResult:
     cfg = state.config
     maps = state.get_maps()
     x = state.get_element()
-    fam = weighted_average_grid(cfg.weight, maps, x, cfg.box, state.budget)
-    state.family = fam
-    state.map_applications += fam.applications
+    stream = GridStream(cfg.weight, maps, x, cfg.box, state.budget)
+    alg, box = stream.algebra, cfg.box
     limit = None
     if isinstance(cfg.weight, TrigPolynomial):
         limit = limit_oracle(cfg.weight, maps, x)
-    if not np.all(np.isfinite(fam.raw().view(np.float64))):
-        raise NumericError("non-finite entries in element block")
-    alg, stacks = fam.algebra, fam.block_stacks()
-    tr = stack_trace(alg, stacks)
-    norms = stack_lp_norm(alg, stacks, cfg.p).tolist()
-    if limit is None:
-        residuals = [None] * len(norms)
-    else:
-        state.shifted = fam.minus_constant(limit.value)
-        residuals = stack_lp_norm(alg, state.shifted.block_stacks(), 2.0).tolist()
+    # per-member columns and, only when certify reads it, the family minus
+    # its limit, laid out last axis first like the stream's chunks
+    lead = (box.shape[-1],) + box.shape[:-1]
+    tr = np.empty(lead, dtype=np.complex128)
+    norms = np.empty(lead)
+    residuals = None if limit is None else np.empty(lead)
+    centre = None if limit is None else alg.vec(limit.value)
+    shifted = None
+    if limit is not None and "certify" in state.tasks:
+        shifted = np.empty(box.shape + (alg.basis_size,), dtype=np.complex128)
+        shifted_lead = np.moveaxis(shifted, -2, 0)
+    for lo, hi, block in stream.chunks():
+        if not np.all(np.isfinite(block.view(np.float64))):
+            raise NumericError("non-finite entries in element block")
+        flat = block.reshape(-1, alg.basis_size)
+        stacks = alg.block_stacks(flat)
+        members = block.shape[:-1]
+        tr[lo:hi] = stack_trace(alg, stacks).reshape(members)
+        norms[lo:hi] = stack_lp_norm(alg, stacks, cfg.p).reshape(members)
+        if limit is not None:
+            diff = flat - centre
+            residuals[lo:hi] = stack_lp_norm(
+                alg, alg.block_stacks(diff), 2.0).reshape(members)
+            if shifted is not None:
+                shifted_lead[lo:hi] = diff.reshape(block.shape)
+    state.map_applications += stream.applications
+    if shifted is not None:
+        state.shifted = AverageFamily(alg, box, shifted, "grid-shifted",
+                                      stream.applications)
+    tr = np.moveaxis(tr, 0, -1).ravel()
+    norms = np.moveaxis(norms, 0, -1).ravel().tolist()
+    residuals = ([None] * len(norms) if residuals is None
+                 else np.moveaxis(residuals, 0, -1).ravel().tolist())
     labels = _index_labels([
-        range(lo, hi + 1) for lo, hi in zip(fam.box.lower, fam.box.upper)
+        range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)
     ])
     rows = tuple(
         (label, "grid", re, im, norm, residual)
@@ -802,7 +830,7 @@ def _run_average(state: _RunState) -> TaskResult:
         "box_lower": list(cfg.box.lower),
         "box_upper": list(cfg.box.upper),
         "evaluator": "grid",
-        "applications": fam.applications,
+        "applications": stream.applications,
         "limit_norm_2": None if limit is None else lp_norm(limit.value, 2.0),
         "limit_notes": None if limit is None else "; ".join(limit.notes),
     }
@@ -862,8 +890,6 @@ def _run_maximal(state: _RunState) -> TaskResult:
 
 def _run_certify(state: _RunState) -> TaskResult:
     cfg = state.config
-    if state.family is None:
-        raise IntegrityError("certify requires the average task's family")
     if state.shifted is None:
         raise UnsupportedError(
             "certification needs a trig-polynomial weight with a computed limit"
@@ -932,7 +958,8 @@ def run_scenario(
         closed = requested | {d for t in requested for d in _TASK_DEPS[t]}
         grow = closed != requested
         requested = closed
-    state = _RunState(config, config.budget if budget is None else int(budget))
+    state = _RunState(config, config.budget if budget is None else int(budget),
+                      frozenset(requested))
     results: list[TaskResult] = []
     status: dict[str, str] = {}
     for name in TASK_ORDER:

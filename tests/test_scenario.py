@@ -351,7 +351,7 @@ def test_budget_truncation_reported():
 # ---------------------------------------------------------------------------
 # the averages table against per-element formulas
 
-def two_block_config(trig=True):
+def two_block_config(trig=True, p=3.0):
     weight = {
         "terms": [
             {"coefficient": 0.5, "phases_over_2pi": [0.0, 0.0]},
@@ -374,7 +374,7 @@ def two_block_config(trig=True):
         ],
         weight=weight,
         element={"mode": "random_general"},
-        p=3.0,
+        p=p,
         box={"lower": [2, 1], "upper": [6, 5]},
     )
 
@@ -422,36 +422,141 @@ def reference_average_rows(cfg):
     return rows
 
 
+def recorded_chunks(monkeypatch):
+    """Record the (lo, hi) of every chunk the grid stream yields."""
+    from ncergo.averages import GridStream
+
+    seen = []
+    real_chunks = GridStream.chunks
+
+    def chunks(self, *args, **kwargs):
+        for lo, hi, block in real_chunks(self, *args, **kwargs):
+            seen.append((lo, hi))
+            yield lo, hi, block
+
+    monkeypatch.setattr(GridStream, "chunks", chunks)
+    return seen
+
+
 @pytest.mark.parametrize("trig", [True, False])
 def test_averages_table_matches_element_formulas(trig):
-    cfg = scenario_from_dict(two_block_config(trig))
-    rep = run_scenario(cfg, tasks=["average"])
-    average = {t.name: t for t in rep.tasks}["average"]
-    assert average.status == "ok"
-    rows = list(average.tables[0].rows)
+    for p in (2.0, 3.0):  # the Frobenius and the singular-value route
+        cfg = scenario_from_dict(two_block_config(trig, p=p))
+        rep = run_scenario(cfg, tasks=["average"])
+        average = {t.name: t for t in rep.tasks}["average"]
+        assert average.status == "ok"
+        rows = list(average.tables[0].rows)
+        ref = reference_average_rows(cfg)
+        assert len(rows) == cfg.box.size == 25
+        assert rows[0][0] == "(2,1)" and rows[-1][0] == "(6,5)"
+        assert all(r[3] != 0.0 for r in ref)  # imaginary traces are exercised
+        assert all((r[5] is None) != trig for r in ref)
+        # repr round-trips floats exactly, so this is a bitwise comparison
+        assert [repr(r) for r in rows] == [repr(r) for r in ref]
+
+
+def chunked_two_block_config(trig):
+    """two_block_config on a box whose last axis starts at 2, and the grid
+    slab's bytes: with CHUNK_BYTES patched to one slab, the stream walks
+    chunks of two slabs, [0, 2), [2, 4) and [4, 7), so the first starts
+    below the box and yields one slab."""
+    cfg = scenario_from_dict(dict(two_block_config(trig),
+                                  box={"lower": [2, 2], "upper": [6, 7]}))
+    return cfg, cfg.box.upper[0] * cfg.algebra.basis_size * 16
+
+
+@pytest.mark.parametrize("trig", [True, False])
+def test_averages_table_matches_element_formulas_across_chunks(trig, monkeypatch):
+    from ncergo import averages
+
+    cfg, slab_bytes = chunked_two_block_config(trig)
     ref = reference_average_rows(cfg)
-    assert len(rows) == cfg.box.size == 25
-    assert rows[0][0] == "(2,1)" and rows[-1][0] == "(6,5)"
-    assert all(r[3] != 0.0 for r in ref)  # imaginary traces are exercised
-    assert all((r[5] is None) != trig for r in ref)
-    # repr round-trips floats exactly, so this is a bitwise comparison
+    seen = recorded_chunks(monkeypatch)
+    monkeypatch.setattr(averages, "CHUNK_BYTES", slab_bytes)
+    rep = run_scenario(cfg, tasks=["average"])
+    assert seen == [(0, 1), (1, 3), (3, 6)]
+    rows = list({t.name: t for t in rep.tasks}["average"].tables[0].rows)
     assert [repr(r) for r in rows] == [repr(r) for r in ref]
 
 
+@pytest.mark.parametrize("chunked", [False, True])
+def test_certify_reads_the_grid_family_minus_its_limit(chunked, monkeypatch):
+    from ncergo import averages, scenario
+    from ncergo.averages import limit_oracle, weighted_average_grid
+    from ncergo.scenario import _RunState
+
+    cfg, slab_bytes = chunked_two_block_config(True)
+    state = _RunState(cfg, cfg.budget)
+    maps, x = state.get_maps(), state.get_element()
+    want = weighted_average_grid(cfg.weight, maps, x, cfg.box).minus_constant(
+        limit_oracle(cfg.weight, maps, x).value)
+    families = []
+    real_ladder = scenario.onset_ladder
+
+    def ladder(family, *args, **kwargs):
+        families.append(family)
+        return real_ladder(family, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "onset_ladder", ladder)
+    if chunked:
+        monkeypatch.setattr(averages, "CHUNK_BYTES", slab_bytes)
+    run_scenario(cfg, tasks=["certify"])
+    [got] = families
+    assert got.box == want.box and got.applications == want.applications
+    assert got.raw().tobytes() == want.raw().tobytes()
+
+
+def test_certify_needs_a_trig_weight():
+    from ncergo.weights import BesicovitchWeight
+
+    cfg = scenario_from_dict(two_block_config(trig=False))
+    assert isinstance(cfg.weight, BesicovitchWeight)
+    rep = run_scenario(cfg, tasks=["certify"])
+    by_name = {t.name: t for t in rep.tasks}
+    assert by_name["average"].status == "ok"
+    assert by_name["certify"].status == "failed"
+    assert by_name["certify"].error == (
+        "UnsupportedError: certification needs a trig-polynomial weight "
+        "with a computed limit")
+
+
+def test_average_task_holds_no_family_without_certify():
+    # the table is reduced chunk by chunk from the grid stream: with a trig
+    # weight and no certify, neither the family nor its shifted copy is held
+    import tracemalloc
+
+    partition = [[i, i + 1] for i in range(0, 16, 2)]
+    cfg = scenario_from_dict(small_config(
+        algebra={"block_dims": [8, 8]},
+        contractions=[{"kind": "pinching", "diagonal_partition": partition}] * 2,
+        box=[128, 128],
+    ))
+    family_bytes = cfg.box.size * cfg.algebra.basis_size * 16
+    assert family_bytes >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        rep = run_scenario(cfg, tasks=["average"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    average = {t.name: t for t in rep.tasks}["average"]
+    assert average.status == "ok"
+    assert average.tables[0].rows[-1][5] is not None  # residuals were taken
+    assert peak < family_bytes
+
+
 def test_non_finite_family_fails_average(monkeypatch):
-    from ncergo import scenario
-    from ncergo.averages import AverageFamily
+    from ncergo.averages import GridStream
 
-    real_grid = scenario.weighted_average_grid
+    real_chunks = GridStream.chunks
 
-    def poisoned_grid(*args, **kwargs):
-        fam = real_grid(*args, **kwargs)
-        data = fam.raw().copy()
-        data[1, 2, 3] = complex(np.inf, 0.0)
-        return AverageFamily(fam.algebra, fam.box, data, fam.provenance,
-                             fam.applications)
+    def poisoned_chunks(self, *args, **kwargs):
+        for i, (lo, hi, block) in enumerate(real_chunks(self, *args, **kwargs)):
+            if i == 0:
+                block[1, 2, 3] = complex(np.inf, 0.0)
+            yield lo, hi, block
 
-    monkeypatch.setattr(scenario, "weighted_average_grid", poisoned_grid)
+    monkeypatch.setattr(GridStream, "chunks", poisoned_chunks)
     cfg = scenario_from_dict(small_config())
     rep = run_scenario(cfg, tasks=["certify"])
     by_name = {t.name: t for t in rep.tasks}
@@ -563,13 +668,15 @@ def test_operation_counts_cover_every_solve_and_grid(monkeypatch):
         totals["solves"] += 1
         return rep
 
-    def counted_grid(*args, **kwargs):
-        fam = weighted_average_grid(*args, **kwargs)
-        totals["applications"] += fam.applications
-        return fam
+    def counted_chunks(self, *args, **kwargs):
+        # every grid, the average task's and the maximal task's families,
+        # is walked by one GridStream
+        yield from real_chunks(self, *args, **kwargs)
+        totals["applications"] += self.applications
 
     dominant_element = maximal.dominant_element
-    weighted_average_grid = averages.weighted_average_grid
+    real_chunks = averages.GridStream.chunks
+    monkeypatch.setattr(averages.GridStream, "chunks", counted_chunks)
     # rebind the name in every module that imported it, certify's solver too
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] != "ncergo":
@@ -577,8 +684,6 @@ def test_operation_counts_cover_every_solve_and_grid(monkeypatch):
         for key, val in list(vars(mod).items()):
             if val is dominant_element:
                 monkeypatch.setattr(mod, key, counted_dominant)
-            elif val is weighted_average_grid:
-                monkeypatch.setattr(mod, key, counted_grid)
 
     data = json.loads((REFERENCE.parent / "rate_d2.json").read_text())
     data.update({

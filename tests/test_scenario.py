@@ -422,22 +422,6 @@ def reference_average_rows(cfg):
     return rows
 
 
-def recorded_chunks(monkeypatch):
-    """Record the (lo, hi) of every chunk the grid stream yields."""
-    from ncergo.averages import GridStream
-
-    seen = []
-    real_chunks = GridStream.chunks
-
-    def chunks(self, *args, **kwargs):
-        for lo, hi, block in real_chunks(self, *args, **kwargs):
-            seen.append((lo, hi))
-            yield lo, hi, block
-
-    monkeypatch.setattr(GridStream, "chunks", chunks)
-    return seen
-
-
 @pytest.mark.parametrize("trig", [True, False])
 def test_averages_table_matches_element_formulas(trig):
     for p in (2.0, 3.0):  # the Frobenius and the singular-value route
@@ -471,7 +455,15 @@ def test_averages_table_matches_element_formulas_across_chunks(trig, monkeypatch
 
     cfg, slab_bytes = chunked_two_block_config(trig)
     ref = reference_average_rows(cfg)
-    seen = recorded_chunks(monkeypatch)
+    seen = []
+    real_chunks = averages.GridStream.chunks
+
+    def chunks(self, *args, **kwargs):
+        for lo, hi, block in real_chunks(self, *args, **kwargs):
+            seen.append((lo, hi))
+            yield lo, hi, block
+
+    monkeypatch.setattr(averages.GridStream, "chunks", chunks)
     monkeypatch.setattr(averages, "CHUNK_BYTES", slab_bytes)
     rep = run_scenario(cfg, tasks=["average"])
     assert seen == [(0, 1), (1, 3), (3, 6)]

@@ -12,13 +12,11 @@ from .algebra import (
     Box,
     Element,
     Projection,
-    decompose_four_positives,
     element_from_text,
     element_to_text,
     is_positive,
     lp_norm,
     modulus,
-    negative_part,
     positive_part,
     spectral_projection,
     trace,
@@ -28,7 +26,6 @@ from .averages import (
     LimitResult,
     ergodic_average_family,
     limit_oracle,
-    split_real_imag,
     weighted_average_direct,
     weighted_average_factorized,
     weighted_average_grid,
@@ -37,7 +34,6 @@ from .bau import (
     BauCertificate,
     certify_bau,
     certify_bau_complex,
-    lambda_box,
     onset_ladder,
 )
 from .contraction import (
@@ -76,7 +72,6 @@ from .maximal import (
     interpolation_check,
     maximal_inequality_report,
     prepare_family,
-    sup_plus_norm,
 )
 from .scenario import (
     RunReport,
@@ -103,15 +98,13 @@ from .weights import (
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "Algebra", "Box", "Element", "Projection", "decompose_four_positives",
-    "element_from_text", "element_to_text", "is_positive", "lp_norm",
-    "modulus", "negative_part", "positive_part", "spectral_projection",
-    "trace",
+    "Algebra", "Box", "Element", "Projection", "element_from_text",
+    "element_to_text", "is_positive", "lp_norm", "modulus", "positive_part",
+    "spectral_projection", "trace",
     "AverageFamily", "LimitResult", "ergodic_average_family", "limit_oracle",
-    "split_real_imag", "weighted_average_direct",
-    "weighted_average_factorized", "weighted_average_grid",
-    "BauCertificate", "certify_bau", "certify_bau_complex", "lambda_box",
-    "onset_ladder",
+    "weighted_average_direct", "weighted_average_factorized",
+    "weighted_average_grid",
+    "BauCertificate", "certify_bau", "certify_bau_complex", "onset_ladder",
     "AbsoluteContraction", "LinearOperator", "VerificationReport",
     "apply_power", "cesaro_limit_projection", "choi_matrix", "composition",
     "construct_contraction", "convex_combination", "identity_map", "kraus",
@@ -121,7 +114,7 @@ __all__ = [
     "NumericError", "StructuralError", "UnsupportedError",
     "DominantReport", "InterpolationReport", "MaximalLadderReport",
     "PreparedFamily", "dominant_element", "interpolation_check",
-    "maximal_inequality_report", "prepare_family", "sup_plus_norm",
+    "maximal_inequality_report", "prepare_family",
     "RunReport", "ScenarioConfig", "TOOL_VERSION", "emit_report",
     "load_scenario", "parse_report", "report_to_text", "run_scenario",
     "scenario_from_dict",

@@ -374,19 +374,6 @@ def stack_is_positive(stacks: Sequence[np.ndarray], tol: float = 1e-10) -> np.nd
     return ok
 
 
-def stack_four_positives(s: np.ndarray) -> np.ndarray:
-    """Four positives of every matrix in a (n, d, d) stack, member-major.
-
-    Rows 4k ... 4k+3 of the (4n, d, d) result are x0 ... x3 of member k,
-    with x = x0 + i x1 - x2 - i x3: the positive and negative parts of the
-    Hermitian real and imaginary parts.
-    """
-    adj = np.conj(np.swapaxes(s, -1, -2))
-    re, im = (s + adj) / 2, (s - adj) / 2j
-    parts = np.stack((re, im, -re, -im), axis=1)
-    return stack_positive_part(stack_hermitian_part(parts)).reshape((-1,) + s.shape[1:])
-
-
 def stack_trace(alg: Algebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Per-member weighted trace over (n, d_b, d_b) stacks.
 
@@ -465,13 +452,6 @@ class Projection:
     def algebra(self) -> Algebra:
         return self.element.algebra
 
-    def complement(self) -> "Projection":
-        return Projection(self.element.algebra.identity() - self.element, self.notes)
-
-    def compress(self, x: Element) -> Element:
-        """e x e."""
-        return self.element @ x @ self.element
-
 
 # ---------------------------------------------------------------------------
 # trace, norms, spectral operations
@@ -499,19 +479,6 @@ def lp_norm(x: Element, p: float) -> float:
     return float(stack_lp_norm(x.algebra, _member_stacks(x), p)[0])
 
 
-def hermitian_eig(x: Element) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blockwise (eigenvalues, eigenvectors) of a Hermitian element."""
-    return [np.linalg.eigh((b + b.conj().T) / 2) for b in x.blocks]
-
-
-def eigenvalues_weighted(x: Element) -> list[tuple[float, float]]:
-    """(eigenvalue, trace weight) pairs across all blocks of a Hermitian x."""
-    pairs = []
-    for w, (eig, _) in zip(x.algebra.trace_weights, hermitian_eig(x)):
-        pairs.extend((float(v), w) for v in eig)
-    return pairs
-
-
 def positive_part(x: Element) -> Element:
     """Positive part of the Hermitian part of x."""
     return Element(
@@ -521,19 +488,8 @@ def positive_part(x: Element) -> Element:
     )
 
 
-def negative_part(x: Element) -> Element:
-    """Positive element n with x = positive_part(x) - n."""
-    return positive_part(-x)
-
-
 def is_positive(x: Element, tol: float = 1e-10) -> bool:
     return bool(stack_is_positive(_member_stacks(x), tol)[0])
-
-
-def decompose_four_positives(x: Element) -> tuple[Element, Element, Element, Element]:
-    """Four positives (x0, x1, x2, x3) with x = x0 + i x1 - x2 - i x3."""
-    parts = [stack_four_positives(s) for s in _member_stacks(x)]
-    return tuple(Element(x.algebra, [p[j] for p in parts], True) for j in range(4))
 
 
 def spectral_projection(x: Element, interval: tuple[float, float]) -> Projection:
@@ -548,7 +504,8 @@ def spectral_projection(x: Element, interval: tuple[float, float]) -> Projection
     if not x.is_hermitian(1e-10):
         raise StructuralError("spectral projection requires a Hermitian element")
     blocks, notes = [], []
-    for bi, (eig, vecs) in enumerate(hermitian_eig(x)):
+    for bi, b in enumerate(x.blocks):
+        eig, vecs = np.linalg.eigh((b + b.conj().T) / 2)
         sel = (eig >= lo) & (eig <= hi)
         for endpoint in (lo, hi):
             if np.isfinite(endpoint):

@@ -353,40 +353,6 @@ def weighted_average_factorized(
     return alg.unvec(acc)
 
 
-def split_real_imag(
-    a: Weight,
-    maps: Sequence[LinearOperator],
-    x: Element,
-    n: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[Element, Element]:
-    """Averages taken against Re a(k) and Im a(k) separately.
-
-    Their recombination A_re + i * A_im reproduces the full average exactly
-    up to rounding.
-    """
-    _check_inputs(a, maps, x)
-    nt = validate_multi_index(n)
-    if volume(nt) > budget:
-        raise BudgetError(
-            f"|N| = {volume(nt)} exceeds the budget {budget}; "
-            "use the grid or factorized evaluator"
-        )
-    alg = x.algebra
-    w = eval_weight_box(a, nt).reshape(-1)
-    acc_re = np.zeros(alg.basis_size, dtype=np.complex128)
-    acc_im = np.zeros(alg.basis_size, dtype=np.complex128)
-
-    def visit(pos: int, v: np.ndarray):
-        nonlocal acc_re, acc_im
-        acc_re = acc_re + w[pos].real * v
-        acc_im = acc_im + w[pos].imag * v
-
-    _iterate_powers(maps, alg.vec(x), nt, visit)
-    size = volume(nt)
-    return alg.unvec(acc_re / size), alg.unvec(acc_im / size)
-
-
 @dataclass(frozen=True)
 class LimitResult:
     value: Element

@@ -12,7 +12,6 @@ construction alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +30,6 @@ from .errors import IntegrityError, StructuralError
 from .maximal import PreparedFamily, _gershgorin, dominant_element
 
 SOUNDNESS_SLACK = 1e-10
-
-
-def lambda_box(m: int, n: int, d: int) -> list[tuple[int, ...]]:
-    """Multi-indices k with m <= min(k) and max(k) <= n, in lex order.
-
-    m > n yields the empty list; the count is (n - m + 1)^d otherwise.
-    """
-    m, n, d = int(m), int(n), int(d)
-    if m < 1 or d < 1:
-        raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
-    if m > n:
-        return []
-    return list(itertools.product(range(m, n + 1), repeat=d))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ from .algebra import (
     is_positive,
     lp_norm,
     stack_eig_map,
-    stack_four_positives,
     stack_hermitian_deviation,
     stack_hermitian_part,
     stack_is_positive,
@@ -533,53 +532,6 @@ def dominant_element(
                   members, rho, measured, last)
 
 
-def sup_plus_norm(
-    family: Sequence[np.ndarray],
-    p: float,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-    *,
-    algebra: Algebra,
-) -> float:
-    """Dominant norm of the family, given as per-block stacks (n, d_b, d_b).
-
-    Positive families are passed through as-is. General families are split
-    member-by-member into four positives and the dominant is taken over the
-    combined positive family: an upper-bound convention, reported as such
-    wherever this value surfaces.
-    """
-    prep = _sup_plus_family(_family_stacks(algebra, family), algebra)
-    return _sup_plus(prep, algebra, p, tol, max_iter)[0]
-
-
-def _sup_plus_family(raw: list[np.ndarray], alg: Algebra) -> PreparedFamily | None:
-    """The prepared positive family whose dominant norm is sup_plus_norm.
-
-    raw itself when every member is positive; otherwise the four positives
-    of each member, less those that are negligible against the family.
-    None when none are left.
-    """
-    if np.all(stack_is_positive(raw, 1e-8)):
-        return prepare_family(raw, algebra=alg)
-    scale = max(float(np.abs(s).max()) for s in raw)
-    parts = [stack_four_positives(s) for s in raw]
-    mag = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in parts])
-    keep = np.flatnonzero(mag > 1e-14 * (1.0 + scale))
-    if not keep.size:
-        return None
-    return prepare_family([s[keep] for s in parts], algebra=alg)
-
-
-def _sup_plus(
-    prep: PreparedFamily | None, alg: Algebra, p: float, tol: float, max_iter: int
-) -> tuple[float, int]:
-    """(dominant norm of _sup_plus_family's output, iterations of its solve)."""
-    if prep is None:
-        return 0.0, 0
-    rep = dominant_element(prep, p, tol, max_iter, algebra=alg)
-    return rep.norm, rep.iterations
-
-
 # ---------------------------------------------------------------------------
 # maximal-average ladder
 
@@ -730,7 +682,8 @@ def interpolation_check(
 ) -> InterpolationReport:
     """Check the dominant-norm interpolation bound between levels q < p.
 
-    family holds per-block stacks (n, d_b, d_b). Verifies
+    family holds per-block stacks (n, d_b, d_b) of positive members; any
+    other family raises StructuralError. Verifies
     sup-norm_p <= (sup_k ||x_k||_inf)^(1-q/p) * (sup-norm_q)^(q/p)
     up to relative slack covering optimization tolerance.
     """
@@ -738,13 +691,16 @@ def interpolation_check(
     if not (1.0 <= q < p) or not np.isfinite(p):
         raise ValueError(f"interpolation needs 1 <= q < p < inf, got q={q}, p={p}")
     raw = _family_stacks(algebra, family)
-    prep = _sup_plus_family(raw, algebra)  # one preparation for both solves
-    lhs, iters_p = _sup_plus(prep, algebra, p, tol, max_iter)
+    if not np.all(stack_is_positive(raw, 1e-8)):
+        raise StructuralError("interpolation requires a family of positive elements")
+    prep = prepare_family(raw, algebra=algebra)  # one preparation for both solves
+    rep_p = dominant_element(prep, p, tol, max_iter, algebra=algebra)
     ess = float(stack_lp_norm(algebra, raw, np.inf).max())
-    dom_q, iters_q = _sup_plus(prep, algebra, q, tol, max_iter)
+    rep_q = dominant_element(prep, q, tol, max_iter, algebra=algebra)
     theta = q / p
-    rhs = ess ** (1.0 - theta) * dom_q**theta
-    passed = lhs <= rhs * (1.0 + slack) + 1e-15
+    rhs = ess ** (1.0 - theta) * rep_q.norm**theta
+    passed = rep_p.norm <= rhs * (1.0 + slack) + 1e-15
     return InterpolationReport(
-        p, q, lhs, rhs, ess, dom_q, slack, passed, iters_p + iters_q
+        p, q, rep_p.norm, rhs, ess, rep_q.norm, slack, passed,
+        rep_p.iterations + rep_q.iterations,
     )

@@ -283,10 +283,6 @@ def declared_bound(a: Weight) -> float:
     return float(a.bound)
 
 
-def eval_weight(a: Weight, k: Sequence[int]) -> complex:
-    return a.eval(k)
-
-
 def eval_weight_box(a: Weight, upper: Sequence[int]) -> np.ndarray:
     return np.asarray(a.eval_box(upper), dtype=np.complex128)
 

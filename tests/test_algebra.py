@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_four_positives, oracle_positive_part
 from ncergo import algebra
 from ncergo._rng import generator
 from ncergo.algebra import (
@@ -14,17 +15,13 @@ from ncergo.algebra import (
     Box,
     Element,
     Projection,
-    decompose_four_positives,
     element_from_text,
     element_to_text,
-    eigenvalues_weighted,
     is_positive,
     lp_norm,
     modulus,
-    negative_part,
     positive_part,
     spectral_projection,
-    stack_four_positives,
     stack_hermitian_part,
     stack_is_positive,
     stack_lp_norm,
@@ -34,7 +31,6 @@ from ncergo.algebra import (
     volume,
 )
 from ncergo.errors import NumericError, StructuralError
-from ncergo.maximal import dominant_element, sup_plus_norm
 
 SHAPES = [(2,), (3,), (2, 2), (3, 2)]
 
@@ -177,7 +173,7 @@ def test_four_positives_reconstruction_seeded():
         rng = generator(seed, "four")
         alg = random_algebra(SHAPES[seed % len(SHAPES)])
         x = alg.random_element(rng, kind="general")
-        x0, x1, x2, x3 = decompose_four_positives(x)
+        x0, x1, x2, x3 = oracle_four_positives(x)
         for part in (x0, x1, x2, x3):
             assert is_positive(part, 1e-9)
         rebuilt = x0 - x2 + (x1 - x3) * 1j
@@ -188,18 +184,9 @@ def test_positive_negative_parts():
     alg = Algebra((2,))
     x = alg.element([np.diag([2.0, -3.0]).astype(complex)])
     assert positive_part(x).blocks[0][0, 0] == pytest.approx(2.0)
-    assert negative_part(x).blocks[0][1, 1] == pytest.approx(3.0)
+    assert positive_part(-x).blocks[0][1, 1] == pytest.approx(3.0)
     # x = x_+ - x_-
-    assert (x - (positive_part(x) - negative_part(x))).max_abs() < 1e-12
-
-
-def test_eigenvalues_weighted():
-    alg = Algebra((2, 2), (1.0, 0.25))
-    x = alg.element([np.diag([1.0, 2.0]).astype(complex),
-                     np.diag([3.0, 4.0]).astype(complex)])
-    pairs = eigenvalues_weighted(x)
-    assert sorted(v for v, _ in pairs) == pytest.approx([1.0, 2.0, 3.0, 4.0])
-    assert sorted(w for _, w in pairs) == pytest.approx([0.25, 0.25, 1.0, 1.0])
+    assert (x - (positive_part(x) - positive_part(-x))).max_abs() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +257,6 @@ def test_stack_helpers_match_element_formulas_bitwise(dims, data, n, p,
 
 # the per-Element positivity code the stack kernels replaced, as the oracle
 
-def oracle_positive_part(b):
-    lam, v = np.linalg.eigh((b + b.conj().T) / 2)
-    return (v * np.maximum(lam, 0.0)) @ v.conj().T
-
-
-def oracle_four_positives(b):
-    re, im = (b + b.conj().T) / 2, (b - b.conj().T) / 2j
-    return [oracle_positive_part(m) for m in (re, im, -re, -im)]
-
-
 def oracle_is_positive(blocks, tol):
     dev = max(float(np.abs(b - b.conj().T).max()) for b in blocks)
     mag = max(float(np.abs(b).max()) for b in blocks)
@@ -287,23 +264,6 @@ def oracle_is_positive(blocks, tol):
         return False
     return all(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) >= -tol
                for b in blocks)
-
-
-def oracle_sup_plus(alg, members, p):
-    """The per-Element loop: parts of every member, stacked, then solved."""
-    if all(oracle_is_positive(m, 1e-8) for m in members):
-        parts = members
-    else:
-        scale = max(float(np.abs(b).max()) for m in members for b in m)
-        parts = []
-        for m in members:
-            for part in zip(*(oracle_four_positives(b) for b in m)):
-                if max(float(np.abs(b).max()) for b in part) > 1e-14 * (1.0 + scale):
-                    parts.append(part)
-        if not parts:
-            return 0.0
-    stacks = [np.stack([part[b] for part in parts]) for b in range(alg.num_blocks)]
-    return dominant_element(stacks, p, algebra=alg).norm
 
 
 def kernel_members(alg, rng, kinds):
@@ -325,33 +285,12 @@ def test_stack_positivity_kernels_match_element_code_bitwise(dims, kinds, tol, s
     stacks = [np.stack([x.blocks[b] for x in members]) for b in range(len(dims))]
     decided = stack_is_positive(stacks, tol)
     pos_stacks = [stack_positive_part(stack_hermitian_part(s)) for s in stacks]
-    parts = [stack_four_positives(s) for s in stacks]
     for k, x in enumerate(members):
         assert decided[k] == oracle_is_positive(x.blocks, tol) == is_positive(x, tol)
         pos = positive_part(x)
-        four = decompose_four_positives(x)
         for b, s in enumerate(stacks):
             want = oracle_positive_part(s[k])
             assert pos_stacks[b][k].tobytes() == pos.blocks[b].tobytes() == want.tobytes()
-            for j, want in enumerate(oracle_four_positives(s[k])):
-                assert parts[b][4 * k + j].tobytes() == want.tobytes()
-                assert four[j].blocks[b].tobytes() == want.tobytes()
-
-
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(
-    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
-    kinds=st.lists(st.sampled_from(("general", "hermitian", "positive")),
-                   min_size=1, max_size=4),
-    p=st.sampled_from((1.5, 2.0, 3.0)),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_sup_plus_norm_matches_element_loop_bitwise(dims, kinds, p, seed):
-    alg = Algebra(dims)
-    members = kernel_members(alg, np.random.default_rng(seed), kinds)
-    stacks = [np.stack([x.blocks[b] for x in members]) for b in range(len(dims))]
-    want = oracle_sup_plus(alg, [x.blocks for x in members], p)
-    assert sup_plus_norm(stacks, p, algebra=alg) == want
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +299,9 @@ def test_sup_plus_norm_matches_element_loop_bitwise(dims, kinds, p, seed):
 def test_projection_validation():
     alg = Algebra((2,))
     e = alg.element([np.diag([1.0, 0.0]).astype(complex)])
-    proj = Projection(e)
-    assert proj.complement().element.blocks[0][1, 1] == pytest.approx(1.0)
+    Projection(e)
+    complement = Projection(alg.identity() - e)
+    assert complement.element.blocks[0][1, 1] == pytest.approx(1.0)
     bad = alg.element([np.diag([0.5, 0.0]).astype(complex)])
     with pytest.raises(StructuralError):
         Projection(bad)
@@ -381,15 +321,6 @@ def test_spectral_projection_requires_hermitian():
     x = alg.element([np.array([[0, 1], [0, 0]], dtype=complex)])
     with pytest.raises(StructuralError):
         spectral_projection(x, (0.0, 1.0))
-
-
-def test_compress():
-    alg = Algebra((2,))
-    e = Projection(alg.element([np.diag([1.0, 0.0]).astype(complex)]))
-    x = alg.element([np.array([[2.0, 5.0], [5.0, 7.0]], dtype=complex)])
-    c = e.compress(x)
-    assert c.blocks[0][0, 0] == pytest.approx(2.0)
-    assert abs(c.blocks[0][1, 1]) == 0.0
 
 
 # ---------------------------------------------------------------------------

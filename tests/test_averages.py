@@ -18,7 +18,6 @@ from ncergo.averages import (
     _walk_slabs,
     ergodic_average_family,
     limit_oracle,
-    split_real_imag,
     weighted_average_direct,
     weighted_average_factorized,
     weighted_average_grid,
@@ -319,25 +318,6 @@ def test_budget_enforced():
         weighted_average_direct(a, maps, x, (100, 100), budget=10)
     with pytest.raises(BudgetError):
         weighted_average_grid(a, maps, x, Box.full((100, 100)), budget=10)
-
-
-# ---------------------------------------------------------------------------
-# split into real and imaginary weight parts
-
-def test_split_real_imag_recombines():
-    alg = Algebra((2,))
-    rng = generator(7, "spl")
-    x = alg.random_element(rng, kind="positive")
-    maps = mixed_maps(alg, 7)
-    a = trig_weight(2, 7)
-    n = (4, 5)
-    re_part, im_part = split_real_imag(a, maps, x, n)
-    full = weighted_average_direct(a, maps, x, n)
-    recomb = re_part + 1j * im_part
-    assert (full - recomb).max_abs() < 1e-11
-    # positive x and hermiticity-preserving maps give hermitian parts
-    assert re_part.is_hermitian(1e-10)
-    assert im_part.is_hermitian(1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ncergo.bau import (
     BauCertificate,
     certify_bau,
     certify_bau_complex,
-    lambda_box,
     onset_ladder,
     tail_box,
 )
@@ -40,22 +39,6 @@ def scalar_certificate(vectors, weight, p, eps):
 
 # ---------------------------------------------------------------------------
 # index shells
-
-def test_lambda_box_matches_enumeration():
-    got = lambda_box(2, 3, 3)
-    assert len(got) == 8
-    assert got[0] == (2, 2, 2) and got[-1] == (3, 3, 3)
-    assert got == sorted(got)
-    for m, n, d in [(1, 4, 1), (2, 5, 2), (3, 3, 3)]:
-        got = lambda_box(m, n, d)
-        assert len(got) == (n - m + 1) ** d
-        assert all(all(m <= c <= n for c in idx) for idx in got)
-    assert lambda_box(5, 4, 2) == []
-    with pytest.raises(ValueError):
-        lambda_box(0, 3, 1)
-    with pytest.raises(ValueError):
-        lambda_box(1, 3, 0)
-
 
 def test_tail_box():
     alg = Algebra((2,))

@@ -21,7 +21,6 @@ from ncergo.maximal import (
     dominant_element,
     interpolation_check,
     maximal_inequality_report,
-    sup_plus_norm,
 )
 from ncergo.algebra import Projection
 
@@ -327,26 +326,6 @@ def test_active_set_many_members():
 
 
 # ---------------------------------------------------------------------------
-# sup-plus norm
-
-def test_sup_plus_single():
-    alg = Algebra((2,))
-    rng = generator(26, "sps")
-    x = alg.random_element(rng, kind="positive")
-    assert sup_plus_norm(stacks_of([x]), 2.0, algebra=alg) == pytest.approx(
-        lp_norm(x, 2.0), abs=1e-10)
-
-
-def test_sup_plus_general_bounds_members():
-    alg = Algebra((2,))
-    rng = generator(27, "spg")
-    fam = random_family(alg, rng, 3)
-    v = sup_plus_norm(stacks_of(fam), 2.0, algebra=alg)
-    assert np.isfinite(v)
-    assert v >= max(lp_norm(positive_part(x), 2.0) for x in fam) - 1e-8
-
-
-# ---------------------------------------------------------------------------
 # ladders over ergodic averages
 
 def shift_maps(alg, seed):
@@ -416,27 +395,35 @@ def test_interpolation_seeded_positive_families():
             assert rep.passed, (seed, p, q, rep.lhs, rep.rhs)
 
 
-def test_interpolation_splits_a_general_family_once(monkeypatch):
+def test_interpolation_prepares_a_positive_family_once(monkeypatch):
     # both exponents solve over the same positive family: the positivity
-    # test and the four-positives split run once per block, the family is
-    # prepared once for both solves, and each side equals sup_plus_norm at
-    # its exponent
+    # test runs once, the family is prepared once for both solves, and each
+    # side equals dominant_element at its exponent
     from ncergo import maximal
 
     alg = Algebra((2, 2), (1.0, 0.5))
-    fam = stacks_of(random_family(alg, generator(28, "isp"), 3))
-    calls = {"stack_is_positive": 0, "stack_four_positives": 0, "prepare_family": 0}
+    rng = generator(28, "isp")
+    fam = stacks_of([alg.random_element(rng, kind="positive") for _ in range(3)])
+    calls = {"stack_is_positive": 0, "prepare_family": 0}
     for name in calls:
         def counted(*args, _fn=getattr(maximal, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(maximal, name, counted)
     rep = interpolation_check(fam, p=4.0, q=2.0, algebra=alg)
-    assert calls == {"stack_is_positive": 1, "stack_four_positives": 2,
-                     "prepare_family": 1}
+    assert calls == {"stack_is_positive": 1, "prepare_family": 1}
     monkeypatch.undo()
-    assert rep.lhs == sup_plus_norm(fam, 4.0, algebra=alg)
-    assert rep.dominant_q == sup_plus_norm(fam, 2.0, algebra=alg)
+    assert rep.lhs == dominant_element(fam, 4.0, algebra=alg).norm
+    assert rep.dominant_q == dominant_element(fam, 2.0, algebra=alg).norm
+
+
+def test_interpolation_rejects_a_non_positive_member():
+    alg = Algebra((2,))
+    rng = generator(29, "inp")
+    fam = [alg.random_element(rng, kind="positive") for _ in range(2)]
+    fam.append(diag_el(alg, [1.0, -0.5]))  # Hermitian, not positive
+    with pytest.raises(StructuralError, match="positive"):
+        interpolation_check(stacks_of(fam), p=4.0, q=2.0, algebra=alg)
 
 
 def test_interpolation_validates_exponents():

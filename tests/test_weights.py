@@ -15,7 +15,6 @@ from ncergo.weights import (
     TrigTerm,
     declared_bound,
     default_ladder,
-    eval_weight,
     eval_weight_box,
     kahan_cumsum,
     normalized,
@@ -52,7 +51,7 @@ def test_trig_eval_matches_naive():
             t.coefficient * np.exp(1j * (t.phases[0] * k[0] + t.phases[1] * k[1]))
             for t in a.terms
         )
-        assert eval_weight(a, k) == pytest.approx(want, abs=1e-12)
+        assert a.eval(k) == pytest.approx(want, abs=1e-12)
 
 
 def test_trig_eval_box_matches_pointwise():

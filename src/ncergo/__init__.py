@@ -44,7 +44,6 @@ from .contraction import (
     cesaro_limit_projection,
     choi_matrix,
     composition,
-    construct_contraction,
     convex_combination,
     identity_map,
     kraus,
@@ -107,8 +106,8 @@ __all__ = [
     "BauCertificate", "certify_bau", "certify_bau_complex", "onset_ladder",
     "AbsoluteContraction", "LinearOperator", "VerificationReport",
     "apply_power", "cesaro_limit_projection", "choi_matrix", "composition",
-    "construct_contraction", "convex_combination", "identity_map", "kraus",
-    "pinching", "scaled_unitary", "schur_multiplier", "substochastic",
+    "convex_combination", "identity_map", "kraus", "pinching",
+    "scaled_unitary", "schur_multiplier", "substochastic",
     "verify_absolute_contraction",
     "BudgetError", "ConfigError", "IntegrityError", "NcError",
     "NumericError", "StructuralError", "UnsupportedError",

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, Element, Projection, element_from_text
+from .algebra import Algebra, Element, Projection
 from .errors import StructuralError, UnsupportedError
 
 UNITARY_TOL = 1e-10
@@ -159,15 +159,11 @@ class AbsoluteContraction(LinearOperator):
 # kind constructors
 
 def _as_element(algebra: Algebra, obj) -> Element:
-    if isinstance(obj, Element):
-        el = obj
-    elif isinstance(obj, str):
-        el = element_from_text(obj)
-    else:
+    if not isinstance(obj, Element):
         raise StructuralError(f"cannot interpret {type(obj).__name__} as an element")
-    if el.algebra != algebra:
+    if obj.algebra != algebra:
         raise StructuralError("operand algebra does not match the target algebra")
-    return el
+    return obj
 
 
 def _conjugation_blocks(algebra: Algebra, pairs) -> list[np.ndarray]:
@@ -337,44 +333,6 @@ def substochastic(algebra: Algebra, matrix) -> AbsoluteContraction:
     return kraus(algebra, ops)
 
 
-_KIND_BUILDERS = {
-    "scaled_unitary": lambda alg, spec: scaled_unitary(
-        alg, spec["unitary"], spec.get("scale", 1.0)
-    ),
-    "pinching": lambda alg, spec: pinching(
-        [Projection(_as_element(alg, p)) for p in spec["projections"]]
-    ),
-    "schur_multiplier": lambda alg, spec: schur_multiplier(
-        alg, _as_element(alg, spec["coefficients"]).blocks[0]
-    ),
-    "kraus": lambda alg, spec: kraus(alg, spec["operators"]),
-    "substochastic": lambda alg, spec: substochastic(alg, spec["matrix"]),
-    "identity": lambda alg, spec: identity_map(alg),
-    "convex_combination": lambda alg, spec: convex_combination(
-        [(w, construct_contraction(alg, sub)) for w, sub in spec["terms"]]
-    ),
-    "composition": lambda alg, spec: composition(
-        [construct_contraction(alg, sub) for sub in spec["maps"]]
-    ),
-}
-
-
-def construct_contraction(algebra: Algebra, spec: dict) -> AbsoluteContraction:
-    """Build a contraction from a tagged parameter record.
-
-    Elements referenced by the record may be Element instances or strings in
-    the element text format.
-    """
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError) as exc:
-        raise StructuralError("contraction spec needs a 'kind' tag") from exc
-    builder = _KIND_BUILDERS.get(kind)
-    if builder is None:
-        raise UnsupportedError(f"unknown contraction kind {kind!r}")
-    return builder(algebra, spec)
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -438,30 +396,14 @@ def choi_matrix(op: LinearOperator) -> np.ndarray:
     return choi.reshape(n * n, n * n)
 
 
-def choi_blocks(op: LinearOperator) -> list[np.ndarray]:
-    """The diagonal blocks of `choi_matrix`, one per block pair (B, B').
-
-    The pair's submatrix has rows and columns (i, r) with i in B and r in
-    B', in the full matrix's order; B' runs fastest. Its size is d_B d_B',
-    and it is zero unless B = B'.
-    """
-    dims = op.algebra.block_dims
-    return [
-        _choi_block(m, d_in) if b_in == b_out
-        else np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
-        for b_in, (m, d_in) in enumerate(zip(op.transfer_blocks, dims))
-        for b_out, d_out in enumerate(dims)
-    ]
-
-
 def verify_absolute_contraction(op: LinearOperator, tol: float = 1e-10) -> VerificationReport:
     """Check the three defining conditions and report signed margins.
 
     Raises StructuralError for maps that are not even Hermiticity
     preserving; margin failures are reported through `passed`, not raised.
     `choi_min_eig` is the smallest eigenvalue of the Choi matrix, taken
-    over its diagonal blocks (`choi_blocks`, one d_B d_B' submatrix per
-    block pair), whose spectra make up its spectrum. A pair of distinct
+    over its diagonal blocks (one d_B d_B' submatrix per block pair),
+    whose spectra make up its spectrum. A pair of distinct
     blocks has a zero submatrix, which contributes 0.0 without an
     eigensolve; on a single-block algebra the one block is the whole matrix.
     """

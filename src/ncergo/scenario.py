@@ -45,7 +45,14 @@ from .averages import (
 from .bau import onset_ladder
 from .contraction import (
     AbsoluteContraction,
-    construct_contraction,
+    composition,
+    convex_combination,
+    identity_map,
+    kraus,
+    pinching,
+    scaled_unitary,
+    schur_multiplier,
+    substochastic,
     verify_absolute_contraction,
 )
 from .errors import (
@@ -233,8 +240,6 @@ def _parse_matrix(rows) -> np.ndarray:
 
 def _element_like(alg: Algebra, obj, base_dir: str) -> Element:
     """Element from a JSON-friendly description."""
-    if isinstance(obj, Element):
-        return obj
     if isinstance(obj, str):
         el = element_from_text(obj)
     elif isinstance(obj, dict) and "text" in obj:
@@ -298,43 +303,55 @@ def _diagonal_partition_projections(alg: Algebra, groups) -> list[Element]:
     return projections
 
 
-def _resolve_contraction(alg: Algebra, spec, base_dir: str) -> dict:
+def _build_contraction(alg: Algebra, spec, base_dir: str) -> AbsoluteContraction:
+    """The contraction a config spec describes; each kind's fields are read
+    here and nowhere else, and a missing or malformed one is a ConfigError
+    naming the kind and the field."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"contraction spec needs a 'kind' tag, got {spec!r}")
     kind = spec["kind"]
-    out = {"kind": kind}
+
+    def field(name: str, read):
+        try:
+            return read(spec[name])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(
+                f"{kind} contraction: missing or malformed field {name!r} "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+
+    def element(obj) -> Element:
+        return _element_like(alg, obj, base_dir)
+
+    def elements(objs) -> list[Element]:
+        return [element(obj) for obj in objs]
+
+    def sub(obj) -> AbsoluteContraction:
+        return _build_contraction(alg, obj, base_dir)
+
     if kind == "scaled_unitary":
-        out["scale"] = float(spec.get("scale", 1.0))
-        out["unitary"] = _element_like(alg, spec["unitary"], base_dir)
-    elif kind == "pinching":
-        if "diagonal_partition" in spec:
-            out["projections"] = _diagonal_partition_projections(
-                alg, spec["diagonal_partition"]
-            )
-        else:
-            out["projections"] = [
-                _element_like(alg, p, base_dir) for p in spec["projections"]
-            ]
-    elif kind == "schur_multiplier":
-        out["coefficients"] = _element_like(alg, spec["coefficients"], base_dir)
-    elif kind == "kraus":
-        out["operators"] = [
-            _element_like(alg, k, base_dir) for k in spec["operators"]
-        ]
-    elif kind == "substochastic":
-        out["matrix"] = [[float(v) for v in row] for row in spec["matrix"]]
-    elif kind == "convex_combination":
-        out["terms"] = [
-            (float(w), _resolve_contraction(alg, sub, base_dir))
-            for w, sub in spec["terms"]
-        ]
-    elif kind == "composition":
-        out["maps"] = [_resolve_contraction(alg, m, base_dir) for m in spec["maps"]]
-    elif kind == "identity":
-        pass
-    else:
-        raise ConfigError(f"unknown contraction kind {kind!r}")
-    return out
+        scale = field("scale", float) if "scale" in spec else 1.0
+        return scaled_unitary(alg, field("unitary", element), scale)
+    if kind == "pinching" and "diagonal_partition" in spec:
+        return pinching(field("diagonal_partition",
+                              lambda groups: _diagonal_partition_projections(alg, groups)))
+    if kind == "pinching":
+        return pinching(field("projections", elements))
+    if kind == "schur_multiplier":
+        return schur_multiplier(alg, field("coefficients", element).blocks[0])
+    if kind == "kraus":
+        return kraus(alg, field("operators", elements))
+    if kind == "substochastic":
+        return substochastic(alg, field(
+            "matrix", lambda rows: [[float(v) for v in row] for row in rows]))
+    if kind == "convex_combination":
+        terms = field("terms", lambda ts: [(float(w), m) for w, m in ts])
+        return convex_combination([(w, sub(m)) for w, m in terms])
+    if kind == "composition":
+        return composition([sub(m) for m in field("maps", list)])
+    if kind == "identity":
+        return identity_map(alg)
+    raise ConfigError(f"unknown contraction kind {kind!r}")
 
 
 def _parse_trig_terms(d: int, terms) -> TrigPolynomial:
@@ -359,8 +376,6 @@ def _parse_perturbation(spec, seed: int | None):
     if kind == "periodic_zero_mean":
         return PeriodicZeroMean(np.array([float(v) for v in spec["table"]]))
     if kind == "seeded_noise":
-        if seed is None:
-            raise ConfigError("seeded_noise perturbation requires a seed")
         return SeededNoise(int(seed), float(spec["amplitude"]),
                            float(spec.get("exponent", 0.0)))
     raise ConfigError(f"unknown perturbation kind {kind!r}")
@@ -412,6 +427,17 @@ def _default_onsets(box: Box) -> tuple[int, ...]:
 
 
 def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ScenarioConfig:
+    """Parse a scenario document; whatever in it cannot be read, a missing
+    key or a value of the wrong type or form, is a ConfigError."""
+    try:
+        return _read_scenario(data, base_dir)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(
+            f"malformed config ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _read_scenario(data: dict, base_dir: str | Path) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -513,7 +539,7 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ScenarioConfig
             )
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    tolerances.update(data.get("tolerances", {}))
+    tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
 
     tasks = tuple(data.get("tasks", TASK_ORDER))
     for t in tasks:
@@ -684,10 +710,7 @@ class _RunState:
         if self.maps is None:
             cfg = self.config
             self.maps = [
-                construct_contraction(
-                    cfg.algebra,
-                    _resolve_contraction(cfg.algebra, spec, cfg.base_dir),
-                )
+                _build_contraction(cfg.algebra, spec, cfg.base_dir)
                 for spec in cfg.contraction_specs
             ]
         return self.maps

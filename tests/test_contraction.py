@@ -17,10 +17,8 @@ from ncergo.contraction import (
     LinearOperator,
     apply_power,
     cesaro_limit_projection,
-    choi_blocks,
     choi_matrix,
     composition,
-    construct_contraction,
     convex_combination,
     identity_map,
     is_hermiticity_preserving,
@@ -395,19 +393,6 @@ def test_cesaro_projection_flags_a_jordan_block_without_clamping():
     assert cesaro_limit_projection(raw_map(0.0)).notes == ()
 
 
-# ---------------------------------------------------------------------------
-# spec-dict construction parity
-
-def test_construct_contraction_parity():
-    alg = Algebra((2,))
-    u = unitary_element(alg, rotation_unitary(0.2))
-    direct = scaled_unitary(alg, u, scale=0.7)
-    built = construct_contraction(alg, {"kind": "scaled_unitary", "scale": 0.7, "unitary": u})
-    assert np.abs(direct.transfer_matrix() - built.transfer_matrix()).max() < 1e-12
-    with pytest.raises(UnsupportedError):
-        construct_contraction(alg, {"kind": "no_such_kind"})
-
-
 def test_apply_rejects_other_algebra():
     # same block dims, different trace weights: a different algebra
     alg = Algebra((2,))
@@ -620,8 +605,6 @@ def test_closed_forms_match_probed_reference(dims, single, seed):
     pair = (block_of[:, None] * len(dims) + block_of[None, :]).reshape(-1)
     outside = pair[:, None] != pair[None, :]
     assert not np.any(choi[outside])
-    assert [b.shape[0] for b in choi_blocks(t)] == [
-        d_in * d_out for d_in in dims for d_out in dims]
     full_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     rep = verify_absolute_contraction(t)
     if len(dims) == 1:

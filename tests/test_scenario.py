@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 
 import ncergo
+from ncergo.algebra import Algebra, element_to_text
 from ncergo.cli import main as cli_main
+from ncergo.contraction import (
+    composition,
+    convex_combination,
+    identity_map,
+    kraus,
+    pinching,
+    scaled_unitary,
+    schur_multiplier,
+    substochastic,
+)
 from ncergo.errors import ConfigError
 from ncergo.scenario import (
     ScenarioConfig,
@@ -162,6 +173,128 @@ def test_reference_config_loads():
     assert cfg.dimension == 2
     assert cfg.p == 2.0
     assert cfg.digest == config_digest(json.loads(REFERENCE.read_text()))
+
+
+# ---------------------------------------------------------------------------
+# contraction specs: every kind and element form against its constructor
+
+def two_block(first, second):
+    """The element first + second of M_2 + C."""
+    return Algebra((2, 1)).element([np.array(first, dtype=complex),
+                                    np.array(second, dtype=complex)])
+
+
+def diagonal(a, b, c):
+    return two_block(np.diag([a, b]), [[c]])
+
+
+def unitary_by(element):
+    return {"kind": "scaled_unitary", "unitary": element}
+
+
+SWAP = [[0, 1], [1, 0]]
+U = two_block(SWAP, [[1j]])
+U_BLOCKS = {"blocks": [SWAP, [[[0, 1]]]]}
+PARTITION = {"kind": "pinching", "diagonal_partition": [[0], [1, 2]]}
+
+
+def partition_pinching(alg):
+    return pinching([diagonal(1, 0, 0), diagonal(0, 1, 1)])
+
+
+def phase(t):
+    return complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t))
+
+
+# case: (block dims, the config's contraction spec, the direct constructor
+# call, or None when verify must fail with a ConfigError)
+CONTRACTION_CASES = {
+    "scaled_unitary": ((2, 1), dict(unitary_by(U_BLOCKS), scale=0.75),
+                       lambda alg: scaled_unitary(alg, U, 0.75)),
+    "scaled_unitary no scale": ((2, 1), unitary_by(U_BLOCKS),
+                                lambda alg: scaled_unitary(alg, U)),
+    "pinching by partition": ((2, 1), PARTITION, partition_pinching),
+    "pinching by projections": (
+        (2, 1),
+        {"kind": "pinching", "projections": [
+            {"diagonal": [1, 0, 0]}, {"blocks": [[[0, 0], [0, 1]], [[1]]]}]},
+        partition_pinching,
+    ),
+    "schur_multiplier": (
+        (2,), {"kind": "schur_multiplier", "coefficients": [[1, 0.5], [0.5, 1]]},
+        lambda alg: schur_multiplier(alg, np.array([[1, 0.5], [0.5, 1]])),
+    ),
+    "kraus": (
+        (2, 1),
+        {"kind": "kraus", "operators": [
+            {"diagonal": [0.5, 0.5, 0.5]}, {"blocks": [[[0, 0.5], [0.5, 0]], [[0.5]]]}]},
+        lambda alg: kraus(alg, [diagonal(0.5, 0.5, 0.5),
+                                 two_block([[0, 0.5], [0.5, 0]], [[0.5]])]),
+    ),
+    "substochastic": (
+        (2,), {"kind": "substochastic", "matrix": [[0.5, 0.25], [0.25, 0.5]]},
+        lambda alg: substochastic(alg, [[0.5, 0.25], [0.25, 0.5]]),
+    ),
+    "convex_combination": (
+        (2, 1),
+        {"kind": "convex_combination",
+         "terms": [[0.5, {"kind": "identity"}], [0.25, unitary_by(U_BLOCKS)]]},
+        lambda alg: convex_combination([(0.5, identity_map(alg)),
+                                        (0.25, scaled_unitary(alg, U))]),
+    ),
+    "composition": (
+        (2, 1), {"kind": "composition", "maps": [PARTITION, unitary_by(U_BLOCKS)]},
+        lambda alg: composition([partition_pinching(alg), scaled_unitary(alg, U)]),
+    ),
+    "identity": ((2, 1), {"kind": "identity"}, identity_map),
+    "element text": ((2, 1), unitary_by({"text": element_to_text(U)}),
+                     lambda alg: scaled_unitary(alg, U)),
+    "element text string": ((2, 1), unitary_by(element_to_text(U)),
+                            lambda alg: scaled_unitary(alg, U)),
+    "element path": ((2, 1), unitary_by({"path": "u.txt"}),
+                     lambda alg: scaled_unitary(alg, U)),
+    "element diagonal": ((2, 1), unitary_by({"diagonal": [1, [0, 1], -1]}),
+                         lambda alg: scaled_unitary(alg, diagonal(1, 1j, -1))),
+    "element phases": (
+        (2, 1), unitary_by({"diagonal_phases_over_2pi": [0.0, 0.25, 0.5]}),
+        lambda alg: scaled_unitary(alg, diagonal(phase(0.0), phase(0.25), phase(0.5))),
+    ),
+    "element bare matrix": (
+        (2,), unitary_by(SWAP),
+        lambda alg: scaled_unitary(alg, alg.element([np.array(SWAP, dtype=complex)])),
+    ),
+    "unknown kind": ((2, 1), {"kind": "no_such_kind"}, None),
+    "no kind": ((2, 1), {"unitary": U_BLOCKS}, None),
+}
+
+
+def one_map_config(dims, spec):
+    return small_config(
+        algebra={"block_dims": list(dims)},
+        contractions=[spec],
+        weight={"terms": [{"coefficient": 0.5, "phases_over_2pi": [0.0]}]},
+        box=[4],
+        besicovitch={"cutoff": [16]},
+    )
+
+
+@pytest.mark.parametrize("case", CONTRACTION_CASES)
+def test_contraction_specs_build_what_their_constructors_build(tmp_path, case):
+    from ncergo.scenario import _RunState
+
+    dims, spec, direct = CONTRACTION_CASES[case]
+    (tmp_path / "u.txt").write_text(element_to_text(U))
+    cfg = scenario_from_dict(one_map_config(dims, spec), base_dir=tmp_path)
+    if direct is None:
+        verify = run_scenario(cfg, tasks=["verify"]).tasks[0]
+        assert verify.status == "failed"
+        assert verify.error.startswith("ConfigError: ") and "kind" in verify.error
+        return
+    (built,) = _RunState(cfg, cfg.budget).get_maps()
+    want = direct(Algebra(dims))
+    assert built.kind == want.kind
+    for got, expected in zip(built.transfer_blocks, want.transfer_blocks, strict=True):
+        assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +739,47 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, small_config(bogus=3))
     rc = cli_main(["run", "--config", str(cfg_path)])
     assert rc == 2
+
+
+TERMS = small_config()["weight"]["terms"]
+PINCH = small_config()["contractions"][0]
+
+# case: (top-level overrides, the contraction field verify must name, or None
+# when parsing itself must fail)
+MALFORMED = {
+    "term without coefficient": (
+        {"weight": {"terms": [{"phases_over_2pi": [0.0, 0.0]}]}}, None),
+    "perturbation without amplitude": (
+        {"weight": {"terms": TERMS, "perturbation": {"kind": "inverse_min"}}}, None),
+    "perturbation not an object": (
+        {"weight": {"terms": TERMS, "perturbation": 5}}, None),
+    "interpolation without q": ({"interpolation": {"cutoff": 4}}, None),
+    "element mode not a string": ({"element": {"mode": 3}}, None),
+    "p not a number": ({"p": "x"}, None),
+    "tolerance not a number": ({"tolerances": {"verify": "x"}}, None),
+    "scaled_unitary without unitary": (
+        {"contractions": [{"kind": "scaled_unitary"}, PINCH]}, "unitary"),
+    "terms not a list": (
+        {"contractions": [{"kind": "convex_combination", "terms": 5}, PINCH]}, "terms"),
+    "scale not a number": (
+        {"contractions": [unitary_by(U_BLOCKS) | {"scale": "x"}, PINCH],
+         "algebra": {"block_dims": [2, 1]}}, "scale"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
+    extra, field = MALFORMED[case]
+    data = small_config(**extra)
+    if field is None:
+        rc = cli_main(["run", "--config", str(write_config(tmp_path, data))])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: malformed config (")
+        return
+    verify = run_scenario(scenario_from_dict(data), tasks=["verify"]).tasks[0]
+    assert verify.status == "failed"
+    assert verify.error.startswith("ConfigError: ")
+    assert f"field {field!r}" in verify.error
 
 
 def test_cli_task_failure_exit_1(tmp_path):

@@ -11,7 +11,7 @@ can be used freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Number
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +22,6 @@ from .errors import NumericError, StructuralError
 
 HERM_HINT_RTOL = 1e-12
 PROJ_TOL = 1e-10
-ENDPOINT_TOL = 1e-10
 
 
 def format_float(v: float) -> str:
@@ -423,14 +422,9 @@ def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.nd
 
 @dataclass(frozen=True)
 class Projection:
-    """Element verified to be an orthogonal projection.
-
-    notes carries warnings recorded during construction, e.g. spectral
-    endpoint ambiguities.
-    """
+    """Element verified to be an orthogonal projection."""
 
     element: Element
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         e = self.element
@@ -493,31 +487,19 @@ def is_positive(x: Element, tol: float = 1e-10) -> bool:
 
 
 def spectral_projection(x: Element, interval: tuple[float, float]) -> Projection:
-    """Projection onto eigenspaces with eigenvalue in the closed interval.
-
-    Eigenvalues within 1e-10 of an endpoint are flagged in the projection's
-    notes; the closed-interval rule decides inclusion either way.
-    """
+    """Projection onto eigenspaces with eigenvalue in the closed interval, as
+    decided on the computed eigenvalues; bau re-measures what e does."""
     lo, hi = float(interval[0]), float(interval[1])
     if np.isnan(lo) or np.isnan(hi) or lo > hi:
         raise ValueError(f"invalid closed interval [{lo}, {hi}]")
     if not x.is_hermitian(1e-10):
         raise StructuralError("spectral projection requires a Hermitian element")
-    blocks, notes = [], []
-    for bi, b in enumerate(x.blocks):
+    blocks = []
+    for b in x.blocks:
         eig, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        sel = (eig >= lo) & (eig <= hi)
-        for endpoint in (lo, hi):
-            if np.isfinite(endpoint):
-                close = np.abs(eig - endpoint) <= ENDPOINT_TOL
-                for v in eig[close]:
-                    notes.append(
-                        "endpoint ambiguity: block %d eigenvalue %s within %g of %s"
-                        % (bi, format_float(v), ENDPOINT_TOL, format_float(endpoint))
-                    )
-        vs = vecs[:, sel]
+        vs = vecs[:, (eig >= lo) & (eig <= hi)]
         blocks.append(vs @ vs.conj().T)
-    return Projection(Element(x.algebra, blocks, True), tuple(notes))
+    return Projection(Element(x.algebra, blocks, True))
 
 
 # ---------------------------------------------------------------------------

@@ -115,16 +115,15 @@ def _trace_complement(e: Projection) -> float:
 class _PreparedPart:
     """A Hermitian residual family over its whole box, prepared once.
 
-    dev and mag are the Hermitian check data of the stacks as given
-    (stack_hermitian_deviation), r their Hermitian parts, plus and minus
-    the Gershgorin bounds of +r_k and -r_k, size each r_k's largest |entry|
-    and reach the _reach bounds of r. Every field is per member, in the
-    box's C order, so at a tail's indices it holds bit for bit what
-    preparing the tail's own family would.
+    r holds the Hermitian parts of the stacks as given, plus and minus the
+    Gershgorin bounds of +r_k and -r_k, size each r_k's largest |entry| and
+    reach the _reach bounds of r. Every field is per member, in the box's C
+    order, so at a tail's indices it holds bit for bit what preparing the
+    tail's own family would. The stacks are not checked for Hermiticity:
+    certify_bau gates its input, and hermitian_split's parts are exact.
     """
 
     def __init__(self, stacks: list[np.ndarray]):
-        self.dev, self.mag = stack_hermitian_deviation(stacks)
         self.r = [stack_hermitian_part(s) for s in stacks]
         self.plus = _gershgorin(self.r)
         self.minus = _gershgorin([-x for x in self.r])
@@ -150,27 +149,28 @@ class _PreparedPart:
                               np.repeat(self.size[idx], 2))
 
 
+def _verified(cert: BauCertificate) -> BauCertificate:
+    """cert, once its re-measured fields are checked against its budget."""
+    if not cert.sound:
+        raise IntegrityError(
+            f"certificate failed re-verification: tau(1-e)={cert.trace_complement:.6g} "
+            f"vs epsilon={cert.epsilon:.6g}, tail_sup={cert.tail_sup:.6g} vs "
+            f"lambda={cert.lam:.6g}"
+        )
+    return cert
+
+
 def _certify_part(
     part: _PreparedPart, idx: np.ndarray, alg: Algebra, onset: int, p: float,
-    epsilon: float | None, lam: float | None, tol: float, max_iter: int,
+    epsilon: float, tol: float, max_iter: int,
 ) -> BauCertificate:
-    """certify_bau on the members idx of a prepared family."""
+    """The certificate of the members idx of a prepared family."""
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"certification needs 1 < p < inf, got {p}")
-    total = alg.total_trace()
-    if epsilon is None and lam is None:
-        raise ValueError("supply epsilon, lam, or both")
-    if epsilon is not None and not 0.0 < float(epsilon) < total:
+    epsilon, total = float(epsilon), alg.total_trace()
+    if not 0.0 < epsilon < total:
         raise ValueError(f"epsilon must lie in (0, {total}), got {epsilon}")
-
-    dev, mag = part.dev[idx], part.mag[idx]
-    scale = 1.0 + float(mag.max(initial=0.0))
-    if np.any(dev > 1e-8 * scale * (1.0 + mag)):
-        raise StructuralError(
-            "residuals must be Hermitian; split complex residuals first "
-            "(certify_bau_complex does this)"
-        )
     flags: list[str] = []
 
     rep = dominant_element(part.plus_minus(idx), p, tol, max_iter, algebra=alg)
@@ -184,54 +184,44 @@ def _certify_part(
         a = a + alg.scalar(lift)
         flags.append(f"dominant lifted by {lift:.3g} to restore exact feasibility")
     norm = lp_norm(a, p)
+    lam = norm / epsilon ** (1.0 / p)
 
-    if lam is None:
-        lam_val = norm / float(epsilon) ** (1.0 / p)
-        eps_val = float(epsilon)
-    else:
-        lam_val = float(lam)
-        if lam_val < 0.0 or (lam_val == 0.0 and norm > 0.0):
-            raise ValueError(f"lam must be positive when residuals are nonzero, got {lam}")
-        cheb = (norm / lam_val) ** p if lam_val > 0.0 else 0.0
-        eps_val = float(epsilon) if epsilon is not None else cheb
-        if epsilon is None:
-            flags.append("epsilon back-computed from the Chebyshev bound")
-
-    e = spectral_projection(a, (-np.inf, lam_val))
-    trace_comp = _trace_complement(e)
+    e = spectral_projection(a, (-np.inf, lam))
     tail_sup = _compressed_sup(e, [r_b[idx] for r_b in part.r],
                                [c[idx] for c in part.reach])
-
-    cert = BauCertificate(
-        e, eps_val, lam_val, p, onset, tail_sup, norm, trace_comp,
+    return _verified(BauCertificate(
+        e, epsilon, lam, p, onset, tail_sup, norm, _trace_complement(e),
         len(idx), tuple(flags), rep.iterations, rep.converged,
-    )
-    if not cert.sound:
-        raise IntegrityError(
-            f"certificate failed re-verification: tau(1-e)={trace_comp:.6g} vs "
-            f"epsilon={eps_val:.6g}, tail_sup={tail_sup:.6g} vs lambda={lam_val:.6g}"
-        )
-    return cert
+    ))
 
 
 def certify_bau(
     residuals: AverageFamily,
     p: float,
-    epsilon: float | None = None,
-    lam: float | None = None,
+    epsilon: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
 ) -> BauCertificate:
     """Projection certificate of uniform tail smallness for Hermitian residuals.
 
-    Either epsilon (trace budget for 1 - e) or lam (uniform bound) must be
-    given; the other is derived through the Chebyshev bound
-    tau(chi_(lam,inf)(a)) <= (||a||_p / lam)^p for the dominant a of the
-    +-residual family. tail_sup is measured exhaustively on the tested box.
+    epsilon is the trace budget for 1 - e. The uniform bound lam follows
+    from the Chebyshev bound tau(chi_(lam,inf)(a)) <= (||a||_p / lam)^p = epsilon
+    for the dominant a of the +-residual family; tail_sup is measured
+    exhaustively on the tested box. The residuals are checked for
+    Hermiticity once, member by member, and StructuralError sends complex
+    ones to certify_bau_complex.
     """
+    stacks = residuals.block_stacks()
+    dev, mag = stack_hermitian_deviation(stacks)
+    scale = 1.0 + float(mag.max(initial=0.0))
+    if np.any(dev > 1e-8 * scale * (1.0 + mag)):
+        raise StructuralError(
+            "residuals must be Hermitian; split complex residuals first "
+            "(certify_bau_complex does this)"
+        )
     return _certify_part(
-        _PreparedPart(residuals.block_stacks()), np.arange(residuals.box.size),
-        residuals.algebra, min(residuals.box.lower), p, epsilon, lam, tol, max_iter,
+        _PreparedPart(stacks), np.arange(residuals.box.size), residuals.algebra,
+        min(residuals.box.lower), p, epsilon, tol, max_iter,
     )
 
 
@@ -273,41 +263,25 @@ def _certify_tails(
         idx = _members(residuals.box, box)
         onset = min(box.lower)
         scale = 1.0 + float(mag[idx].max(initial=0.0))
-        if float(im_part.mag[idx].max(initial=0.0)) <= 1e-14 * scale:
-            cert = _certify_part(re_part, idx, alg, onset, p, epsilon, None, tol, max_iter)
-            tail_sup = _compressed_sup(cert.e, [s[idx] for s in stacks],
-                                       [c[idx] for c in reach])
-            certs.append(BauCertificate(
-                cert.e, cert.epsilon, cert.lam, cert.p, cert.onset, tail_sup,
-                cert.dominant_norm, cert.trace_complement, cert.tail_size,
-                cert.flags + ("imaginary part negligible; certified the real part",),
-                cert.iterations, cert.converged,
-            ))
-            continue
-        half = float(epsilon) / 2.0
-        cert_r = _certify_part(re_part, idx, alg, onset, p, half, None, tol, max_iter)
-        cert_i = _certify_part(im_part, idx, alg, onset, p, half, None, tol, max_iter)
-        e = _meet(cert_r.e, cert_i.e)
-        trace_comp = _trace_complement(e)
-        lam = cert_r.lam + cert_i.lam
-        tail_sup = _compressed_sup(e, [s[idx] for s in stacks], [c[idx] for c in reach])
-        flags = (
-            "complex residuals split into Hermitian parts; e is the meet of the "
-            "part projections",
-        ) + cert_r.flags + cert_i.flags
-        cert = BauCertificate(
-            e, float(epsilon), lam, float(p), cert_r.onset, tail_sup,
-            cert_r.dominant_norm + cert_i.dominant_norm, trace_comp,
-            len(idx), flags, cert_r.iterations + cert_i.iterations,
-            cert_r.converged and cert_i.converged,
-        )
-        if not cert.sound:
-            raise IntegrityError(
-                f"composite certificate failed re-verification: tau(1-e)="
-                f"{trace_comp:.6g} vs epsilon={epsilon:.6g}, tail_sup="
-                f"{tail_sup:.6g} vs lambda={lam:.6g}"
-            )
-        certs.append(cert)
+        if float(im_part.size[idx].max(initial=0.0)) <= 1e-14 * scale:
+            parts = (_certify_part(re_part, idx, alg, onset, p, epsilon, tol, max_iter),)
+            e = parts[0].e
+            flags = parts[0].flags + ("imaginary part negligible; certified the real part",)
+        else:
+            half = float(epsilon) / 2.0
+            parts = tuple(_certify_part(part, idx, alg, onset, p, half, tol, max_iter)
+                          for part in (re_part, im_part))
+            e = _meet(parts[0].e, parts[1].e)
+            flags = (
+                "complex residuals split into Hermitian parts; e is the meet of the "
+                "part projections",
+            ) + parts[0].flags + parts[1].flags
+        certs.append(_verified(BauCertificate(
+            e, float(epsilon), sum(c.lam for c in parts), float(p), onset,
+            _compressed_sup(e, [s[idx] for s in stacks], [c[idx] for c in reach]),
+            sum(c.dominant_norm for c in parts), _trace_complement(e), len(idx),
+            flags, sum(c.iterations for c in parts), all(c.converged for c in parts),
+        )))
     return tuple(certs)
 
 

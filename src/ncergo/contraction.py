@@ -70,8 +70,7 @@ class LinearOperator:
         self.transfer_blocks = tuple(mats)
 
     @classmethod
-    def from_matrix(cls, algebra: Algebra, matrix: np.ndarray,
-                    notes: tuple[str, ...] = ()) -> "LinearOperator":
+    def from_matrix(cls, algebra: Algebra, matrix: np.ndarray) -> "LinearOperator":
         """Split a dense transfer matrix into its diagonal blocks.
 
         Raises StructuralError when the matrix couples blocks, that is when
@@ -91,7 +90,7 @@ class LinearOperator:
                 f"transfer matrix couples blocks: {coupling} nonzero entries "
                 "off the block diagonal"
             )
-        return cls(algebra, [m[s, s] for s in algebra._slices], notes)
+        return cls(algebra, [m[s, s] for s in algebra._slices])
 
     def transfer_matrix(self) -> np.ndarray:
         """Dense transfer matrix over all blocks, assembled on each call.
@@ -127,8 +126,8 @@ class LinearOperator:
         return self.algebra.unvec(self.apply_vec(self.algebra.vec(x)))
 
 
-def operator_from_function(algebra: Algebra, fn: Callable[[Element], Element],
-                           notes: tuple[str, ...] = ()) -> LinearOperator:
+def operator_from_function(algebra: Algebra,
+                           fn: Callable[[Element], Element]) -> LinearOperator:
     """Materialize a raw map from a python callable (positivity unverified).
 
     Raises StructuralError when the map couples blocks.
@@ -139,16 +138,14 @@ def operator_from_function(algebra: Algebra, fn: Callable[[Element], Element],
         for i in range(d)
         for j in range(d)
     ]
-    return LinearOperator.from_matrix(algebra, np.column_stack(cols),
-                                      notes + ("positivity unverified",))
+    return LinearOperator.from_matrix(algebra, np.column_stack(cols))
 
 
 class AbsoluteContraction(LinearOperator):
     """Per-block transfer matrices of a constructed contraction; `kind` is a label."""
 
-    def __init__(self, algebra: Algebra, kind: str, blocks: Sequence[np.ndarray],
-                 notes: tuple[str, ...] = ()):
-        super().__init__(algebra, blocks, notes)
+    def __init__(self, algebra: Algebra, kind: str, blocks: Sequence[np.ndarray]):
+        super().__init__(algebra, blocks)
         self.kind = kind
 
     def __repr__(self) -> str:
@@ -342,7 +339,6 @@ class VerificationReport:
     trace_margin: float
     choi_min_eig: float
     passed: bool
-    notes: tuple[str, ...] = ()
 
 
 def _adjoint_permutation(d: int) -> np.ndarray:
@@ -432,9 +428,8 @@ def verify_absolute_contraction(op: LinearOperator, tol: float = 1e-10) -> Verif
         for b_in, (m, d) in enumerate(zip(op.transfer_blocks, alg.block_dims))
         for b_out in range(alg.num_blocks)
     )
-    notes = tuple(op.notes)
     passed = sub >= -tol and tr >= -tol and choi_min >= -tol
-    return VerificationReport(sub, tr, choi_min, passed, notes)
+    return VerificationReport(sub, tr, choi_min, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -537,6 +537,8 @@ def _read_scenario(data: dict, base_dir: str | Path) -> ScenarioConfig:
             raise ConfigError(
                 f"interpolation needs 1 <= q < p, got q={interp_q}, p={p}"
             )
+        if interp_cutoff < 1:
+            raise ConfigError(f"interpolation.cutoff must be >= 1, got {interp_cutoff}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
@@ -716,20 +718,26 @@ class _RunState:
         return self.maps
 
     def get_element(self) -> Element:
+        """The scenario's element, built on first use; unreadable is a ConfigError."""
         if self.x is None:
             cfg = self.config
             spec = cfg.element_spec
             mode = spec.get("mode", "")
-            if mode.startswith("random"):
-                kind = mode.removeprefix("random_")
-                if kind not in ("positive", "hermitian", "general"):
-                    raise ConfigError(f"unknown element mode {mode!r}")
-                rng = generator(cfg.seed, "element")
-                self.x = cfg.algebra.random_element(
-                    rng, kind=kind, scale=float(spec.get("scale", 1.0))
-                )
-            else:
-                self.x = _element_like(cfg.algebra, spec, cfg.base_dir)
+            try:
+                if mode.startswith("random"):
+                    kind = mode.removeprefix("random_")
+                    if kind not in ("positive", "hermitian", "general"):
+                        raise ConfigError(f"unknown element mode {mode!r}")
+                    rng = generator(cfg.seed, "element")
+                    self.x = cfg.algebra.random_element(
+                        rng, kind=kind, scale=float(spec.get("scale", 1.0))
+                    )
+                else:
+                    self.x = _element_like(cfg.algebra, spec, cfg.base_dir)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(
+                    f"malformed element ({type(exc).__name__}: {exc})"
+                ) from exc
         return self.x
 
 

@@ -98,26 +98,6 @@ def test_rank_one_decay_exact():
     assert all(a >= b for a, b in zip(lams, lams[1:]))
 
 
-def test_lam_given_back_computes_epsilon():
-    alg = Algebra((2,), (0.5,))
-    rows = [[0.3 / n, 0.1 / n] for n in range(1, 9)]
-    fam = diag_family(alg, Box((1,), (8,)), rows)
-    cert = certify_bau(fam, p=2.0, lam=1.0)
-    assert any("epsilon back-computed" in f for f in cert.flags)
-    assert cert.epsilon == pytest.approx((cert.dominant_norm / 1.0) ** 2.0, rel=1e-12)
-    assert cert.sound
-
-
-def test_lam_too_small_for_epsilon_raises():
-    w = 0.004
-    alg = Algebra((4,), (w,))
-    rows = [[0.2 / n, 0.1 / n, 0.05 / n, 5.0] for n in range(1, 9)]
-    fam = diag_family(alg, Box((1,), (8,)), rows)
-    # lam below every residual coordinate forces tau(1 - e) over budget
-    with pytest.raises(IntegrityError):
-        certify_bau(fam, p=2.0, epsilon=0.001, lam=0.01)
-
-
 def test_epsilon_validation():
     alg = Algebra((2,))
     fam = diag_family(alg, Box((1,), (4,)), [[0.1, 0.1]] * 4)
@@ -125,8 +105,6 @@ def test_epsilon_validation():
         certify_bau(fam, p=2.0, epsilon=5.0)  # exceeds tau(1)
     with pytest.raises(ValueError):
         certify_bau(fam, p=2.0, epsilon=-0.1)
-    with pytest.raises(ValueError):
-        certify_bau(fam, p=2.0)  # neither epsilon nor lam
     with pytest.raises(ValueError):
         certify_bau(fam, p=1.0, epsilon=0.01)
 
@@ -181,6 +159,27 @@ def test_onset_ladder_orders_and_skips():
     assert [c.onset for c in certs] == [1, 4]  # sorted, deduped, 99 skipped
     assert certs[0].lam >= certs[1].lam
     assert all(c.sound for c in certs)
+
+
+@pytest.mark.parametrize("route", ["certify_bau", "split", "real part", "onset_ladder"])
+def test_unsound_certificate_raises(monkeypatch, route):
+    # a tail sup that no bound covers must never come back as a certificate
+    alg = Algebra((2,), (0.5,))
+    fam = diag_family(alg, Box((1,), (8,)), [[0.3 / n, 0.2 / n] for n in range(1, 9)])
+    data = fam.raw().copy()
+    data[:, 1] = 0.05j  # non-Hermitian: certify_bau_complex splits it
+    split = AverageFamily(alg, fam.box, data, "synthetic")
+    run = {
+        "certify_bau": lambda: certify_bau(fam, p=2.0, epsilon=0.05),
+        "split": lambda: certify_bau_complex(split, p=2.0, epsilon=0.05),
+        "real part": lambda: certify_bau_complex(fam, p=2.0, epsilon=0.05),
+        "onset_ladder": lambda: onset_ladder(fam, p=2.0, epsilon=0.05, onsets=(1, 4)),
+    }[route]
+    flag = {"split": "complex residuals split", "real part": "imaginary part negligible"}
+    assert route not in flag or any(flag[route] in f for f in run().flags)
+    monkeypatch.setattr(bau, "_compressed_sup", lambda *args: np.inf)
+    with pytest.raises(IntegrityError, match="failed re-verification"):
+        run()
 
 
 def test_soundness_property_is_consistent():

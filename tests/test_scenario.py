@@ -754,6 +754,7 @@ MALFORMED = {
     "perturbation not an object": (
         {"weight": {"terms": TERMS, "perturbation": 5}}, None),
     "interpolation without q": ({"interpolation": {"cutoff": 4}}, None),
+    "interpolation cutoff below 1": ({"interpolation": {"q": 1.5, "cutoff": 0}}, None),
     "element mode not a string": ({"element": {"mode": 3}}, None),
     "p not a number": ({"p": "x"}, None),
     "tolerance not a number": ({"tolerances": {"verify": "x"}}, None),
@@ -767,6 +768,12 @@ MALFORMED = {
 }
 
 
+# parse failures whose message is a range check, not "malformed config (...)"
+PARSE_ERRORS = {
+    "interpolation cutoff below 1": "error: interpolation.cutoff must be >= 1, got 0",
+}
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     extra, field = MALFORMED[case]
@@ -774,12 +781,22 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     if field is None:
         rc = cli_main(["run", "--config", str(write_config(tmp_path, data))])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: malformed config (")
+        assert capsys.readouterr().err.startswith(
+            PARSE_ERRORS.get(case, "error: malformed config ("))
         return
     verify = run_scenario(scenario_from_dict(data), tasks=["verify"]).tasks[0]
     assert verify.status == "failed"
     assert verify.error.startswith("ConfigError: ")
     assert f"field {field!r}" in verify.error
+
+
+@pytest.mark.parametrize("element", [{"blocks": 5}, {"diagonal_phases_over_2pi": 3}])
+def test_malformed_element_fails_its_tasks(tmp_path, capsys, element):
+    # the element is read when average first needs it, so parsing passes
+    rc = cli_main(["run", "--config", str(write_config(tmp_path, small_config(element=element)))])
+    assert rc == 1
+    tasks = {t.name: t for t in parse_report(capsys.readouterr().out).tasks}
+    assert tasks["average"].error.startswith("ConfigError: malformed element (")
 
 
 def test_cli_task_failure_exit_1(tmp_path):

@@ -219,11 +219,33 @@ def _weyl_floor(a_blocks: list[np.ndarray], bound: np.ndarray, scale: float):
     the rounding of g, of the eigenvalues of a and of a measured margin.
     """
     lam = [np.linalg.eigvalsh(a_b) for a_b in a_blocks]
-    a_norm = max(float(np.abs(v).max()) for v in lam)
-    d = max(a_b.shape[-1] for a_b in a_blocks)
-    pad = ROUND_PAD * d * d * np.finfo(float).eps * (scale + a_norm)
+    pad = _round_pad(a_blocks, scale, max(float(np.abs(v).max()) for v in lam))
     floor = np.min([v[0] - g for v, g in zip(lam, bound.T)], axis=0) - pad
     return floor, pad
+
+
+def _round_pad(a_blocks: list[np.ndarray], scale: float, a_norm: float) -> float:
+    """ROUND_PAD d^2 eps (scale + ||a||), d the largest block size."""
+    d = max(a_b.shape[-1] for a_b in a_blocks)
+    return ROUND_PAD * d * d * np.finfo(float).eps * (scale + a_norm)
+
+
+def _diagonal_floor(m_blocks: list[np.ndarray], diags: list[np.ndarray],
+                    stacks: list[np.ndarray], scale: float):
+    """(floor, a, pad) for _margin_bounds' last, a = diag(m_b) per block.
+
+    diags[b][k] is the diagonal of x_kb. Gershgorin:
+    lambda_min(a_b - x_kb) >= min_i (m_bi - x_kbii - sum_{j != i} |x_kbij|);
+    floor[k] is the least over blocks, less the Weyl floor's pad.
+    """
+    cols = []  # one (n,) column per block row i: numpy reduces short axes slowly
+    for m, diag, x_b in zip(m_blocks, diags, stacks):
+        mag = np.abs(x_b)
+        off = sum(mag[:, :, j] for j in range(m.size)) - np.diagonal(mag, axis1=1, axis2=2)
+        cols.extend((m - diag - off).T)
+    a_blocks = [np.diag(m) for m in m_blocks]
+    pad = _round_pad(a_blocks, scale, max(float(m.max()) for m in m_blocks))
+    return np.min(cols, axis=0) - pad, a_blocks, pad
 
 
 def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
@@ -437,6 +459,19 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
     return None
 
 
+def _basis_diagonals(basis: list[np.ndarray], stacks: list[np.ndarray]):
+    """(diags, identity): diags[b][k] the real diagonal of v_b* x_kb v_b;
+    identity when every v_b is the identity matrix.
+
+    In the identity basis the diagonals are read, not transformed; + 0.0
+    turns -0.0 into 0.0, as the transform does, so both give the same bits.
+    """
+    if all(np.array_equal(v, np.eye(v.shape[0])) for v in basis):
+        return [x_b.diagonal(axis1=1, axis2=2).real + 0.0 for x_b in stacks], True
+    return [np.real(np.einsum("ia,kij,ja->ka", np.conj(v), x_b, v))
+            for v, x_b in zip(basis, stacks)], False
+
+
 # ---------------------------------------------------------------------------
 # dominant element
 
@@ -514,15 +549,13 @@ def dominant_element(
 
     basis = _joint_eigenbasis(raw, stacks)
     if basis is not None:
-        a_blocks, norm_p = [], 0.0
-        for w, v, x_b in zip(wts, basis, stacks):
-            diag = np.real(np.einsum("ia,kij,ja->ka", np.conj(v), x_b, v))
-            m = np.maximum(diag.max(axis=0), 0.0)
-            a_blocks.append((v * m) @ v.conj().T)
-            norm_p += w * float(np.sum(m**p))
-        norm = norm_p ** (1.0 / p)
+        diags, identity = _basis_diagonals(basis, stacks)
+        m_blocks = [np.maximum(diag.max(axis=0), 0.0) for diag in diags]
+        a_blocks = [(v * m) @ v.conj().T for v, m in zip(basis, m_blocks)]
+        norm = sum(w * float(np.sum(m**p)) for w, m in zip(wts, m_blocks)) ** (1.0 / p)
         a = alg.element(a_blocks, True)
-        return finish(a, norm, norm, 0, True, "commuting_exact")
+        last = _diagonal_floor(m_blocks, diags, stacks, scale) if identity else None
+        return finish(a, norm, norm, 0, True, "commuting_exact", last=last)
 
     a_blocks, (lower, members, rho), iters, converged, last, measured = _solve_dual(
         stacks, alg, p, tol, max_iter, bound, size

@@ -10,16 +10,14 @@ emitted bytes are reproducible and round-trippable.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -588,11 +586,55 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # report structures
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
+    """One report table, held by column: data[j] holds the cells of
+    columns[j].
+
+    A float column is a read-only float64 array; any other column is a
+    tuple of Python values (ints, bools, None, str or mixed). Emission
+    renders each table from these columns, once per file.
+    """
+
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple[np.ndarray | tuple, ...]
+
+    def __post_init__(self):
+        data = tuple(map(_table_column, self.data))
+        if len(data) != len(self.columns) or len({len(c) for c in data}) > 1:
+            raise ValueError(
+                f"table {self.name!r} needs one column of cells per name, "
+                "all of one length"
+            )
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def from_rows(cls, name: str, columns: Sequence[str], rows) -> "Table":
+        """The table with these rows, each column a tuple."""
+        rows = tuple(rows)
+        data = tuple(zip(*rows, strict=True)) if rows else ((),) * len(columns)
+        return cls(name, tuple(columns), data)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The cells row by row, float cells as Python floats."""
+        return tuple(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                           for c in self.data]))
+
+
+def _table_column(values) -> np.ndarray | tuple:
+    """A read-only copy of a 1-D float64 array, else the values as a tuple."""
+    if isinstance(values, np.ndarray):
+        if values.dtype != np.float64 or values.ndim != 1:
+            raise ValueError(
+                f"an array column must be 1-D float64, got {values.dtype} "
+                f"of shape {values.shape}"
+            )
+        values = values.copy()
+        values.setflags(write=False)
+        return values
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -627,7 +669,7 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def _report_dict(report: RunReport, floats: dict) -> dict:
-    """report_to_dict with each table's _float_cells looked up by id(table)
+    """report_to_dict with each table's _float_text looked up by id(table)
     in floats where present."""
     # wall clock deliberately left out: emitted bytes depend only on
     # (config, tool version)
@@ -663,6 +705,12 @@ def report_to_text(report: RunReport) -> str:
 
 
 def parse_report(text: str) -> RunReport:
+    """The RunReport a report.json text holds; report_to_text gives the
+    text back byte for byte.
+
+    Every table column is a tuple, as JSON reads it: a float printed as
+    "0" comes back as the int 0, and prints as "0" again.
+    """
     data = json.loads(text)
     tasks = tuple(
         TaskResult(
@@ -670,11 +718,7 @@ def parse_report(text: str) -> RunReport:
             t["status"],
             t["error"],
             tuple(
-                Table(
-                    tab["name"],
-                    tuple(tab["columns"]),
-                    tuple(tuple(r) for r in tab["rows"]),
-                )
+                Table.from_rows(tab["name"], tab["columns"], tab["rows"])
                 for tab in t["tables"]
             ),
             t["summary"],
@@ -761,7 +805,7 @@ def _run_verify(state: _RunState) -> TaskResult:
         ))
         if not rep.passed:
             failures.append(f"T{i}")
-    table = Table("verify", _TABLE_COLUMNS["verify"], tuple(rows))
+    table = Table.from_rows("verify", _TABLE_COLUMNS["verify"], rows)
     summary = {"maps": len(maps), "all_passed": not failures}
     if failures:
         return TaskResult(
@@ -789,7 +833,7 @@ def _run_besicovitch(state: _RunState) -> TaskResult:
          "kahan-prefix")
         for r in rep.rows
     )
-    table = Table("besicovitch", _TABLE_COLUMNS["besicovitch"], rows)
+    table = Table.from_rows("besicovitch", _TABLE_COLUMNS["besicovitch"], rows)
     summary = {
         "epsilon": rep.epsilon,
         "onset": rep.onset,
@@ -843,20 +887,16 @@ def _run_average(state: _RunState) -> TaskResult:
     if shifted is not None:
         state.shifted = AverageFamily(alg, box, shifted, "grid-shifted",
                                       stream.applications)
-    tr = np.moveaxis(tr, 0, -1).ravel()
-    norms = np.moveaxis(norms, 0, -1).ravel().tolist()
-    residuals = ([None] * len(norms) if residuals is None
-                 else np.moveaxis(residuals, 0, -1).ravel().tolist())
     labels = _index_labels([
         range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)
     ])
-    rows = tuple(
-        (label, "grid", re, im, norm, residual)
-        for label, re, im, norm, residual in zip(
-            labels, tr.real.tolist(), tr.imag.tolist(), norms, residuals
-        )
-    )
-    table = Table("averages", _TABLE_COLUMNS["averages"], rows)
+    tr = np.moveaxis(tr, 0, -1).ravel()
+    table = Table("averages", _TABLE_COLUMNS["averages"], (
+        labels, ("grid",) * len(labels), tr.real, tr.imag,
+        np.moveaxis(norms, 0, -1).ravel(),
+        ((None,) * len(labels) if residuals is None
+         else np.moveaxis(residuals, 0, -1).ravel()),
+    ))
     summary = {
         "box_lower": list(cfg.box.lower),
         "box_upper": list(cfg.box.upper),
@@ -885,7 +925,7 @@ def _run_maximal(state: _RunState) -> TaskResult:
          r.iterations, r.converged, r.method)
         for r in rep.rows
     )
-    table = Table("maximal", _TABLE_COLUMNS["maximal"], rows)
+    table = Table.from_rows("maximal", _TABLE_COLUMNS["maximal"], rows)
     summary = {
         "p": rep.p,
         "nondecreasing": rep.nondecreasing,
@@ -938,7 +978,7 @@ def _run_certify(state: _RunState) -> TaskResult:
          "chebyshev-cut")
         for c in certs
     )
-    table = Table("certify", _TABLE_COLUMNS["certify"], rows)
+    table = Table.from_rows("certify", _TABLE_COLUMNS["certify"], rows)
     final = certs[-1]
     summary = {
         "epsilon": cfg.certify_epsilon,
@@ -1045,69 +1085,86 @@ def _plain_ascii(text: str) -> bool:
             and '"' not in text and "\\" not in text)
 
 
-def _float_cells(table: Table) -> list[list[str] | None]:
-    """Each finite all-float column of table as its .17g cells, else None.
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """cells as csv.QUOTE_MINIMAL writes them with lineterminator "\\n": a
+    cell holding a comma, a quote or a newline is quoted, quotes doubled."""
+    text = "".join(cells)
+    if '"' in text or "\n" in text:
+        return [f'"{c.replace(chr(34), chr(34) * 2)}"'
+                if "," in c or '"' in c or "\n" in c else c for c in cells]
+    if "," in text:
+        return [f'"{c}"' if "," in c else c for c in cells]
+    return cells
+
+
+def _format_column(values: tuple, json_out: bool) -> list[str]:
+    """One tuple column as JSON or CSV cells, the same cells canonical_json
+    or csv.writer with _csv_cell give one at a time.
+
+    A column of one string or None repeated is formatted once; all-float
+    (for JSON, finite) and (for CSV, any; for JSON, plain ASCII) string
+    columns are formatted whole; any other column cell by cell, so a
+    non-finite float still raises IntegrityError in JSON.
+    """
+    if len(values) > 1 and (values[0] is None or type(values[0]) is str) \
+            and values.count(values[0]) == len(values):
+        return _format_column(values[:1], json_out) * len(values)
+    kinds = set(map(type, values))
+    if kinds == {float} and (not json_out or all(map(math.isfinite, values))):
+        return [f"{v:.17g}" for v in values]
+    if not json_out:
+        return _csv_quoted(list(values) if kinds == {str}
+                           else [_csv_cell(v) for v in values])
+    if kinds == {str} and _plain_ascii("".join(values)):
+        return [f'"{v}"' for v in values]
+    return [canonical_json(v) for v in values]
+
+
+def _float_text(table: Table) -> list[tuple[list[str], bool] | None]:
+    """Each float64 column of table as its .17g cells and whether all of
+    them are finite; None for a tuple column.
 
     JSON and CSV print these cells alike, so emit_report formats them once
     for both files.
     """
     return [
-        [f"{v:.17g}" for v in col]
-        if {type(v) for v in col} == {float} and all(map(math.isfinite, col))
-        else None
-        for col in zip(*table.rows, strict=True)
+        ([f"{v:.17g}" for v in col.tolist()], bool(np.isfinite(col).all()))
+        if isinstance(col, np.ndarray) else None
+        for col in table.data
     ]
 
 
-def _format_column(values: tuple, json_out: bool) -> list[str]:
-    """One table column as JSON or CSV cells, the same cells canonical_json
-    or _csv_cell give one at a time.
-
-    All-None, (for CSV) all-float and (for CSV, any; for JSON, plain ASCII)
-    string columns are formatted whole; any other column cell by cell, so a
-    non-finite float still raises IntegrityError in JSON.
-    """
-    kinds = {type(v) for v in values}
-    if kinds == {float} and not json_out:
-        return [f"{v:.17g}" for v in values]
-    if kinds == {type(None)}:
-        return ["null" if json_out else ""] * len(values)
-    if kinds == {str}:
-        if not json_out:
-            return list(values)
-        if _plain_ascii("".join(values)):
-            return [f'"{v}"' for v in values]
-    return [(canonical_json if json_out else _csv_cell)(v) for v in values]
-
-
-def _table_cells(table: Table, json_out: bool,
-                 floats: list[list[str] | None]) -> Iterator[tuple[str, ...]]:
-    """Rows of formatted cells, built a column at a time; floats are the
-    table's _float_cells."""
-    columns = zip(*table.rows, strict=True)
-    return zip(*[
-        _format_column(col, json_out) if cells is None else cells
-        for col, cells in zip(columns, floats)
-    ])
+def _cells(table: Table, json_out: bool, floats) -> list[list[str]]:
+    """table's columns as JSON or CSV cells; floats is its _float_text."""
+    out = []
+    for values, text in zip(table.data, floats):
+        if text is None:
+            out.append(_format_column(values, json_out))
+        elif json_out and not text[1]:
+            raise IntegrityError("non-finite value cannot be serialized")
+        else:
+            out.append(text[0])
+    return out
 
 
 def _json_rows(table: Table, floats=None) -> RenderedJSON:
-    cells = _table_cells(
-        table, True, _float_cells(table) if floats is None else floats)
-    rows = ",".join(f"[{','.join(r)}]" for r in cells)
-    return RenderedJSON(f"[{rows}]")
+    """The table's rows as one JSON array, a row "[c1,...,cn]" at a time."""
+    cells = _cells(table, True, _float_text(table) if floats is None else floats)
+    rows = list(map(",".join, zip(*cells)))
+    return RenderedJSON(f"[[{'],['.join(rows)}]]" if rows else "[]")
 
 
 def table_to_csv(table: Table) -> str:
-    return _csv_text(table, _float_cells(table))
+    return _csv_text(table, _float_text(table))
 
 
-def _csv_text(table: Table, floats: list[list[str] | None]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerows(_table_cells(table, False, floats))
-    return buf.getvalue()
+def _csv_text(table: Table, floats) -> str:
+    """The header, then a line "c1,...,cn" per row; floats is the table's
+    _float_text."""
+    lines = [_csv_quoted(list(table.columns)), *zip(*_cells(table, False, floats))]
+    if len(table.columns) == 1:  # csv writes a lone empty field as ""
+        lines = [[c or '""' for c in line] for line in lines]
+    return "\n".join(map(",".join, lines)) + "\n"
 
 
 def emit_report(
@@ -1115,7 +1172,15 @@ def emit_report(
     formats: Sequence[str] = ("structured",),
     out_dir: str | Path = ".",
 ) -> list[Path]:
-    """Write report files; returns the written paths in sorted order."""
+    """Write report files; returns the written paths in sorted order.
+
+    "structured" writes report.json, "tabular" one CSV per table; a task
+    whose summary holds a projection_text also gets <task>_projection.txt.
+    Each float column is formatted once for both files (_float_text), and
+    each file renders a table's rows from its columns in one pass. A
+    non-finite float raises IntegrityError in report.json and prints as
+    nan or inf in the CSV.
+    """
     fmts = set(formats)
     unknown = fmts - {"structured", "tabular"}
     if unknown:
@@ -1123,7 +1188,7 @@ def emit_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    floats = {id(tab): _float_cells(tab) for t in report.tasks for tab in t.tables}
+    floats = {id(tab): _float_text(tab) for t in report.tasks for tab in t.tables}
     if "structured" in fmts:
         path = out / "report.json"
         path.write_text(canonical_json(_report_dict(report, floats)) + "\n")

@@ -403,7 +403,7 @@ def test_certify_summary_counts_unconverged_solves(monkeypatch):
 def test_csv_formatting():
     from ncergo.scenario import Table
 
-    t = Table("demo", ("a", "b", "c"), [(1, True, 0.5), (2, False, None)])
+    t = Table.from_rows("demo", ("a", "b", "c"), [(1, True, 0.5), (2, False, None)])
     txt = table_to_csv(t)
     assert txt.splitlines()[0] == "a,b,c"
     assert txt.splitlines()[1] == "1,true,0.5"
@@ -425,40 +425,124 @@ def per_cell_csv(table):
     return buf.getvalue()
 
 
+def per_cell_json_rows(table):
+    """canonical_json of plain row lists writes one cell at a time."""
+    return canonical_json([list(r) for r in table.rows])
+
+
+ESCAPED = ('say "hi"', "back\\slash", "a,b", "two\nlines", "caf\u00e9", "\x7f",
+           "cr\rhere", '"', ",", "\n", "", " pad ")
+
+
+def assert_renders_per_cell(table):
+    from ncergo.scenario import _json_rows
+
+    assert _json_rows(table) == per_cell_json_rows(table)
+    assert table_to_csv(table) == per_cell_csv(table)
+
+
 def test_columnar_emission_matches_per_cell_emission():
     from ncergo.errors import IntegrityError
     from ncergo.scenario import Table, _json_rows
 
-    escaped = ('say "hi"', "back\\slash", "a,b", "two\nlines", "caf\u00e9", "\x7f")
     mixed = (None, True, False, 3, np.int64(-4), np.float64(0.1), -0.0, "s")
-    floats = (-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0, 123456789.0, 1e-300)
+    floats = (-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0, 123456789.0, 0.0)
     rows = [
-        (floats[k], None, f"({k},{k + 1})", escaped[k % len(escaped)],
+        (floats[k], None, f"({k},{k + 1})", ESCAPED[k % len(ESCAPED)],
          mixed[k], k - 3)
         for k in range(8)
     ]
     columns = ("floats", "nones", "plain", "escaped", "mixed", "ints")
-    # each string that json.dumps escapes, alone among plain ones
+    # each string that json.dumps escapes or csv quotes, alone among plain ones
     one_escape = [
         [r[:3] + (text if k == 5 else "plain",) + r[4:] for k, r in enumerate(rows)]
-        for text in escaped
+        for text in ESCAPED
     ]
     for body in [rows, []] + one_escape:
-        table = Table("mixed", columns, tuple(body))
-        # canonical_json of plain lists writes one cell at a time
-        assert _json_rows(table) == canonical_json([list(r) for r in body])
-        assert table_to_csv(table) == per_cell_csv(table)
+        table = Table.from_rows("mixed", columns, body)
+        assert_renders_per_cell(table)
+        # the same cells with the float column as a float64 array
+        arrays = Table("mixed", columns, (
+            np.array([r[0] for r in body], dtype=np.float64),) + table.data[1:])
+        assert isinstance(arrays.data[0], np.ndarray)
+        assert arrays.rows == table.rows
+        assert_renders_per_cell(arrays)
     # a non-finite float still refuses to serialize, and still prints in CSV
     for bad in (float("nan"), float("inf"), -float("inf")):
-        table = Table("mixed", columns, ((bad,) + rows[0][1:],) + tuple(rows[1:]))
-        with pytest.raises(IntegrityError):
-            _json_rows(table)
-        assert table_to_csv(table) == per_cell_csv(table)
+        body = [(bad,) + rows[0][1:]] + rows[1:]
+        table = Table.from_rows("mixed", columns, body)
+        array = np.array([r[0] for r in body])
+        for t in (table, Table("mixed", columns, (array,) + table.data[1:])):
+            with pytest.raises(IntegrityError):
+                _json_rows(t)
+            assert table_to_csv(t) == per_cell_csv(t)
+
+
+def test_columnar_emission_of_labels_and_lone_columns():
+    from ncergo.scenario import Table
+
+    n = 5
+    values = np.array([-0.0, 5e-324, 1e300, 0.0, -1e-300])
+    for labels in (["(5)", "(6)", "(7)", "(8)", "(9)"],  # one coordinate: no comma
+                   ["(1,2)", "(1,3)", "(2,2)", "(2,3)", "(12,30)"]):
+        table = Table("averages", ("index", "evaluator", "value", "none"), (
+            labels, ("grid",) * n, values, (None,) * n))
+        assert_renders_per_cell(table)
+    # csv writes a lone empty field as "", in the header and in the body
+    for column in [(None, "", "x", "a,b"), ("", ""), (None, None), ()]:
+        for name in ("c", ""):
+            assert_renders_per_cell(Table(name or "lone", (name,), (column,)))
+    for empty in (Table("empty", ("a", "b"), (np.empty(0), ())),
+                  Table.from_rows("empty", ("a", "b"), [])):
+        assert_renders_per_cell(empty)
+        assert per_cell_json_rows(empty) == "[]"
+
+
+def reduced_reference_configs():
+    """configs/pinch_trig_d2.json and configs/rate_d2.json on small boxes,
+    each with all five tasks."""
+    pinch = json.loads(REFERENCE.read_text())
+    pinch.update({
+        "box": [16, 16],
+        "cutoffs": [4, 8],
+        "certify": {"epsilon": 0.01, "onsets": [4, 8, 16]},
+        "besicovitch": {"epsilon": 0.05, "cutoff": [16, 16]},
+    })
+    rate = json.loads((REFERENCE.parent / "rate_d2.json").read_text())
+    rate.update({
+        "box": [8, 8],
+        "cutoffs": [2, 4],
+        "tasks": list(ncergo.scenario.TASK_ORDER),
+        "certify": {"epsilon": 0.01, "onsets": [1, 2, 4, 8]},
+        "besicovitch": {"epsilon": 0.05, "cutoff": [8, 8]},
+        "interpolation": {"q": 1.5, "cutoff": 3},
+    })
+    return [pinch, rate]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_emitted_files_match_per_cell_rendering(index, tmp_path):
+    from ncergo.scenario import report_to_dict
+
+    data = reduced_reference_configs()[index]
+    rep = run_scenario(scenario_from_dict(data, base_dir=REFERENCE.parent))
+    assert [t.name for t in rep.tasks] == list(ncergo.scenario.TASK_ORDER)
+    assert all(t.status == "ok" for t in rep.tasks)
+    emit_report(rep, formats=("structured", "tabular"), out_dir=tmp_path)
+    # the report's layout, with every table's rows as plain lists
+    want = report_to_dict(rep)
+    for task_data, task in zip(want["tasks"], rep.tasks):
+        for table_data, table in zip(task_data["tables"], task.tables):
+            table_data["rows"] = [list(r) for r in table.rows]
+            assert (tmp_path / f"{table.name}.csv").read_text() == per_cell_csv(table)
+    assert (tmp_path / "report.json").read_text() == canonical_json(want) + "\n"
 
 
 def test_emit_report_files_round_trip(tmp_path):
     cfg = scenario_from_dict(small_config())
-    rep = run_scenario(cfg, tasks=["verify", "average"])
+    rep = run_scenario(cfg)
+    assert [t.name for t in rep.tasks] == list(ncergo.scenario.TASK_ORDER)
+    assert all(t.status == "ok" and t.tables for t in rep.tasks)
     paths = emit_report(rep, formats=("structured", "tabular"), out_dir=tmp_path)
     names = sorted(p.name for p in paths)
     assert "report.json" in names
@@ -468,9 +552,23 @@ def test_emit_report_files_round_trip(tmp_path):
     # emitting twice produces identical bytes
     again = tmp_path / "again"
     again.mkdir()
-    rep2 = run_scenario(cfg, tasks=["verify", "average"])
+    rep2 = run_scenario(cfg)
     emit_report(rep2, formats=("structured", "tabular"), out_dir=again)
-    assert (again / "report.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+    for name in names:
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_average_table_float_columns_are_arrays():
+    cfg = scenario_from_dict(small_config())
+    [table] = {t.name: t for t in run_scenario(cfg, tasks=["average"]).tasks}[
+        "average"].tables
+    columns = dict(zip(table.columns, table.data))
+    for name in ("trace_re", "trace_im", "norm_p", "residual_2"):
+        col = columns[name]
+        assert isinstance(col, np.ndarray) and col.dtype == np.float64, name
+        assert col.shape == (cfg.box.size,) and not col.flags.writeable, name
+    assert columns["index"][:2] == ("(1,1)", "(1,2)")
+    assert columns["evaluator"] == ("grid",) * cfg.box.size
 
 
 def test_budget_truncation_reported():

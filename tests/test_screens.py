@@ -445,3 +445,65 @@ def test_commutator_pretest_keeps_joint_eigenbasis_on_screen_kinds(dims, n, kind
     stacks = screen_family(kind, seed, dims, n)
     assert same_basis(maximal._joint_eigenbasis(stacks, stacks),
                       joint_eigenbasis_oracle(stacks, stacks))
+
+
+# ---------------------------------------------------------------------------
+# the commuting route in the identity basis: diagonals read, margins floored
+
+def near_diagonal_family(seed, dims, n, scale=3.0):
+    """Exactly Hermitian stacks within 0.9e-13 * scale of diagonal, whose
+    diagonals hold exact zeros, -0.0 (at least every seventh member's first
+    coordinate) and values of either sign up to scale (the last coordinate
+    of a block up to scale / 100), prepared as certify prepares its
+    +-residuals: the stacks stand for themselves."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for d in dims:
+        diag = rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, d)) * rng.uniform(0.0, scale, (n, d))
+        diag[::7, 0] = -0.0
+        diag[:, -1] *= np.where(diag[:, -1] > 0.0, 0.01, 1.0)  # a small top
+        g = rng.uniform(-1.0, 1.0, (n, d, d)) + 1j * rng.uniform(-1.0, 1.0, (n, d, d))
+        s = 0.9e-13 * scale / np.sqrt(2.0) * (g + np.conj(np.swapaxes(g, 1, 2))) / 2
+        s[:, np.arange(d), np.arange(d)] = 0.0
+        s.real[:, np.arange(d), np.arange(d)] = diag
+        stacks.append(s)
+    size = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in stacks])
+    return maximal.PreparedFamily(tuple(stacks), maximal._gershgorin(stacks), size)
+
+
+@pytest.mark.parametrize("dims, weights", [
+    ((1,), None), ((3,), None), ((2, 3), (0.25, 2.0)), ((4, 1, 2), (1.0, 3.0, 0.5)),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_identity_basis_diagonals_equal_the_transform_bit_for_bit(dims, weights, seed):
+    alg = Algebra(dims, weights)
+    prep = near_diagonal_family(seed, dims, 60)
+    stacks = list(prep.stacks)
+    assert all(np.signbit(x_b[::7, 0, 0].real).all() for x_b in stacks)
+    basis = maximal._joint_eigenbasis(stacks, stacks)
+    assert all(np.array_equal(v, np.eye(v.shape[0])) for v in basis)
+    got, identity = maximal._basis_diagonals(basis, stacks)
+    assert identity
+    want = [np.real(np.einsum("ia,kij,ja->ka", np.conj(v), x_b, v))
+            for v, x_b in zip(basis, stacks)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # the report is the transform's: dominant, norm and the smallest margin
+    p = 1.5
+    rep = maximal.dominant_element(prep, p, algebra=alg)
+    assert rep.method == "commuting_exact"
+    m = [np.maximum(w.max(axis=0), 0.0) for w in want]
+    a_blocks = [(v * mb) @ v.conj().T for v, mb in zip(basis, m)]
+    assert [b.tobytes() for b in rep.dominant.blocks] == [b.tobytes() for b in a_blocks]
+    norm = sum(w * float(np.sum(mb**p)) for w, mb in zip(alg.trace_weights, m)) ** (1 / p)
+    assert rep.norm == norm
+    assert rep.feasibility_margin == float(full_margins(a_blocks, stacks).min())
+
+
+def test_diagonal_family_finish_measures_few_members():
+    # the Weyl floor min(m) - g_k of the entrywise maximum is loose; the
+    # diagonal floor min_i(m_i - x_kii) less the off-diagonal row sums is not
+    n = 1200
+    rep = maximal.dominant_element(near_diagonal_family(11, (3, 2), n), 2.0,
+                                   algebra=Algebra((3, 2)))
+    assert rep.method == "commuting_exact"
+    assert rep.margins_measured < n // 10

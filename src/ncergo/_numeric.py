@@ -6,8 +6,10 @@ import numpy as np
 
 DEFAULT_BUDGET = 2**24
 # working-set size of streamed passes over large arrays (grid chunks, norm
-# member chunks): small enough to stay in cache, large enough that the
-# per-call overhead of the vectorized steps stays small
+# member chunks), chosen by measurement: large enough that the per-call
+# overhead of the vectorized steps stays small. It is not a cache size: a
+# chunk near 4 MB is twice the 2 MiB per-core L2 of the 2-CPU Xeon host the
+# benchmarks were measured on
 CHUNK_BYTES = 4 << 20
 
 

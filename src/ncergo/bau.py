@@ -22,12 +22,16 @@ from .algebra import (
     Projection,
     lp_norm,
     spectral_projection,
+    stack_abs,
+    stack_abs_max,
     stack_hermitian_deviation,
     stack_hermitian_part,
+    stack_max,
+    stack_sum,
 )
 from .averages import AverageFamily
 from .errors import IntegrityError, StructuralError
-from .maximal import PreparedFamily, _gershgorin, dominant_element
+from .maximal import PreparedFamily, _row_radii, dominant_element
 
 SOUNDNESS_SLACK = 1e-10
 
@@ -60,14 +64,17 @@ def _reach(stacks: list[np.ndarray]) -> list[np.ndarray]:
 
     ||e r e||_2 <= ||r||_2, which is at most ||r||_F and at most
     sqrt(||r||_1 ||r||_inf) (largest column and row abs sums); the smaller
-    is padded by 1e-12 relative for rounding.
+    is padded by 1e-12 relative for rounding, which also covers the order
+    of the column-pass sums, plus d 2^-537 for the squares and products
+    that underflow below 2^-1022.
     """
     reach = []
     for r_b in stacks:
-        mag = np.abs(r_b)
-        fro = np.sqrt(np.sum(mag * mag, axis=(-2, -1)))
-        cols, rows = mag.sum(axis=-2).max(axis=-1), mag.sum(axis=-1).max(axis=-1)
-        reach.append(np.minimum(fro, np.sqrt(cols * rows)) * (1.0 + 1e-12))
+        mag = stack_abs(r_b)
+        fro = np.sqrt(stack_sum(stack_sum(mag * mag)))
+        cols, rows = stack_max(stack_sum(mag)), stack_max(stack_sum(mag, axis=1))
+        tiny = r_b.shape[-1] * 2.0**-537
+        reach.append(np.minimum(fro, np.sqrt(cols * rows)) * (1.0 + 1e-12) + tiny)
     return reach
 
 
@@ -125,9 +132,10 @@ class _PreparedPart:
 
     def __init__(self, stacks: list[np.ndarray]):
         self.r = [stack_hermitian_part(s) for s in stacks]
-        self.plus = _gershgorin(self.r)
-        self.minus = _gershgorin([-x for x in self.r])
-        self.size = np.maximum.reduce([np.abs(x).max(axis=(1, 2)) for x in self.r])
+        radii = [_row_radii(x) for x in self.r]  # -r_k has diagonal -x_kii, same radii
+        self.plus = np.stack([stack_max(off + diag) for diag, off in radii], axis=1)
+        self.minus = np.stack([stack_max(off - diag) for diag, off in radii], axis=1)
+        self.size = stack_abs_max(self.r)
         self.reach = _reach(self.r)
 
     def plus_minus(self, idx: np.ndarray) -> PreparedFamily:
@@ -257,7 +265,7 @@ def _certify_tails(
                         for f in residuals.hermitian_split())
     stacks = residuals.block_stacks()
     reach = _reach(stacks)
-    mag = np.abs(residuals.raw()).max(axis=-1).ravel()
+    mag = stack_abs_max(stacks)
     certs = []
     for box in boxes:
         idx = _members(residuals.box, box)

@@ -49,14 +49,20 @@ from .algebra import (
     Algebra,
     Box,
     Element,
+    fold,
     is_positive,
     lp_norm,
+    member_max,
+    stack_abs,
+    stack_abs_max,
     stack_eig_map,
     stack_hermitian_deviation,
     stack_hermitian_part,
     stack_is_positive,
     stack_lp_norm,
+    stack_max,
     stack_positive_part,
+    stack_sum,
     volume,
 )
 from .averages import ergodic_average_family
@@ -163,8 +169,8 @@ def prepare_family(family: Sequence[np.ndarray], *, algebra: Algebra) -> Prepare
             "family members must be Hermitian; split complex elements first"
         )
     stacks = [stack_hermitian_part(s) for s in raw]
-    size = np.maximum.reduce([np.abs(s).max(axis=(1, 2)) for s in stacks])
-    return PreparedFamily(tuple(stacks), _gershgorin(stacks), size, tuple(raw))
+    return PreparedFamily(tuple(stacks), _gershgorin(stacks), stack_abs_max(stacks),
+                          tuple(raw))
 
 
 def _offdiag_max(s: np.ndarray) -> float:
@@ -181,14 +187,26 @@ def _margins_full(a_blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.nd
                               for a_b, x_b in zip(a_blocks, stacks)])
 
 
+def _row_radii(x_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off), each (d, n): the real diagonals x_kii of an (n, d, d)
+    stack and the Gershgorin radii sum_{j != i} |x_kij|, by column passes."""
+    mag = stack_abs(x_b)
+    off = stack_sum(mag, axis=1)
+    off -= np.diagonal(mag).T
+    return np.diagonal(x_b, axis1=1, axis2=2).real.T, off
+
+
 def _gershgorin(stacks: list[np.ndarray]) -> np.ndarray:
-    """(n, blocks) Gershgorin row bounds g_kb >= lambda_max(x_kb), no LAPACK."""
+    """(n, blocks) Gershgorin row bounds g_kb >= lambda_max(x_kb), no LAPACK.
+
+    The radii are column-pass sums, so g is exact up to the rounding every
+    caller pads for.
+    """
     cols = []
     for x_b in stacks:
-        mag = np.abs(x_b)
-        diag = np.diagonal(x_b, axis1=-2, axis2=-1).real
-        rows = diag - np.diagonal(mag, axis1=-2, axis2=-1) + mag.sum(axis=-1)
-        cols.append(rows.max(axis=-1))
+        diag, off = _row_radii(x_b)
+        off += diag
+        cols.append(stack_max(off))
     return np.stack(cols, axis=1)
 
 
@@ -220,7 +238,7 @@ def _weyl_floor(a_blocks: list[np.ndarray], bound: np.ndarray, scale: float):
     """
     lam = [np.linalg.eigvalsh(a_b) for a_b in a_blocks]
     pad = _round_pad(a_blocks, scale, max(float(np.abs(v).max()) for v in lam))
-    floor = np.min([v[0] - g for v, g in zip(lam, bound.T)], axis=0) - pad
+    floor = fold(np.minimum, (v[0] - g for v, g in zip(lam, bound.T))) - pad
     return floor, pad
 
 
@@ -230,22 +248,22 @@ def _round_pad(a_blocks: list[np.ndarray], scale: float, a_norm: float) -> float
     return ROUND_PAD * d * d * np.finfo(float).eps * (scale + a_norm)
 
 
-def _diagonal_floor(m_blocks: list[np.ndarray], diags: list[np.ndarray],
-                    stacks: list[np.ndarray], scale: float):
+def _diagonal_floor(m_blocks: list[np.ndarray], stacks: list[np.ndarray], scale: float):
     """(floor, a, pad) for _margin_bounds' last, a = diag(m_b) per block.
 
-    diags[b][k] is the diagonal of x_kb. Gershgorin:
+    Gershgorin:
     lambda_min(a_b - x_kb) >= min_i (m_bi - x_kbii - sum_{j != i} |x_kbij|);
     floor[k] is the least over blocks, less the Weyl floor's pad.
     """
-    cols = []  # one (n,) column per block row i: numpy reduces short axes slowly
-    for m, diag, x_b in zip(m_blocks, diags, stacks):
-        mag = np.abs(x_b)
-        off = sum(mag[:, :, j] for j in range(m.size)) - np.diagonal(mag, axis1=1, axis2=2)
-        cols.extend((m - diag - off).T)
+    cols = []  # one (n,) column per block row i
+    for m, x_b in zip(m_blocks, stacks):
+        diag, off = _row_radii(x_b)
+        low = np.subtract(m[:, None], diag, out=np.empty_like(off))
+        low -= off
+        cols.extend(low)
     a_blocks = [np.diag(m) for m in m_blocks]
     pad = _round_pad(a_blocks, scale, max(float(m.max()) for m in m_blocks))
-    return np.min(cols, axis=0) - pad, a_blocks, pad
+    return fold(np.minimum, cols) - pad, a_blocks, pad
 
 
 def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
@@ -550,11 +568,11 @@ def dominant_element(
     basis = _joint_eigenbasis(raw, stacks)
     if basis is not None:
         diags, identity = _basis_diagonals(basis, stacks)
-        m_blocks = [np.maximum(diag.max(axis=0), 0.0) for diag in diags]
+        m_blocks = [np.maximum(member_max(diag), 0.0) for diag in diags]
         a_blocks = [(v * m) @ v.conj().T for v, m in zip(basis, m_blocks)]
         norm = sum(w * float(np.sum(m**p)) for w, m in zip(wts, m_blocks)) ** (1.0 / p)
         a = alg.element(a_blocks, True)
-        last = _diagonal_floor(m_blocks, diags, stacks, scale) if identity else None
+        last = _diagonal_floor(m_blocks, stacks, scale) if identity else None
         return finish(a, norm, norm, 0, True, "commuting_exact", last=last)
 
     a_blocks, (lower, members, rho), iters, converged, last, measured = _solve_dual(

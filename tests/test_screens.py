@@ -507,3 +507,77 @@ def test_diagonal_family_finish_measures_few_members():
                                    algebra=Algebra((3, 2)))
     assert rep.method == "commuting_exact"
     assert rep.margins_measured < n // 10
+
+
+def parent_gershgorin(stacks):
+    # the numpy reductions the column passes replaced
+    cols = []
+    for x_b in stacks:
+        mag = np.abs(x_b)
+        diag = np.diagonal(x_b, axis1=-2, axis2=-1).real
+        rows = diag - np.diagonal(mag, axis1=-2, axis2=-1) + mag.sum(axis=-1)
+        cols.append(rows.max(axis=-1))
+    return np.stack(cols, axis=1)
+
+
+def parent_diagonal_floor(m_blocks, stacks, scale):
+    cols = []
+    for m, x_b in zip(m_blocks, stacks):
+        mag = np.abs(x_b)
+        diag = x_b.diagonal(axis1=1, axis2=2).real + 0.0
+        off = mag.sum(axis=-1) - np.diagonal(mag, axis1=1, axis2=2)
+        cols.extend((m - diag - off).T)
+    a_blocks = [np.diag(m) for m in m_blocks]
+    pad = maximal._round_pad(a_blocks, scale, max(float(m.max()) for m in m_blocks))
+    return np.min(cols, axis=0) - pad, a_blocks, pad
+
+
+def tied_commuting_family(kind, seed, dims, n):
+    """Stacks sharing an eigenbasis (the identity for "diagonal", a random
+    unitary otherwise) whose eigenvalues hold -0.0, exact zeros and block
+    maxima tied across many members."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for d in dims:
+        lam = rng.choice([-0.0, 0.0, -1.5, 0.75, 2.0], size=(n, d))
+        lam[::4, -1] = 2.0
+        lam[:, 0] = np.where(lam[:, 0] > 0.0, -0.0, lam[:, 0])  # a block row topped by zeros
+        if kind == "diagonal":
+            s = lam[:, :, None] * np.eye(d)  # -0.0 off the diagonal too
+        else:
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            s = (u[None] * lam[:, None, :]) @ u.conj().T
+        stacks.append(np.ascontiguousarray(s, dtype=complex))
+    return stacks
+
+
+@pytest.mark.parametrize("kind", ("diagonal", "rotated"))
+@pytest.mark.parametrize("dims, weights", [((1,), None), ((3,), None), ((2, 4), (0.5, 2.0))])
+@pytest.mark.parametrize("p", (1.0, 1.5, 3.0))
+@pytest.mark.parametrize("prepared", (False, True))
+def test_commuting_route_equals_numpy_reductions(monkeypatch, kind, dims, weights, p, prepared):
+    alg = Algebra(dims, weights)
+    stacks = tied_commuting_family(kind, 7, dims, 97)
+
+    def solve():
+        if not prepared:
+            return maximal.dominant_element(stacks, p, algebra=alg)
+        # as certify passes its +-residuals: the stacks stand for themselves
+        herm = [stack_hermitian_part(s) for s in stacks]
+        fam = maximal.PreparedFamily(tuple(herm), maximal._gershgorin(herm),
+                                     maximal.stack_abs_max(herm))
+        return maximal.dominant_element(fam, p, algebra=alg)
+
+    got = solve()
+    with monkeypatch.context() as m:
+        m.setattr(maximal, "member_max", lambda a: a.max(axis=0))
+        m.setattr(maximal, "_gershgorin", parent_gershgorin)
+        m.setattr(maximal, "_diagonal_floor", parent_diagonal_floor)
+        m.setattr(maximal, "stack_abs_max", lambda stacks: np.maximum.reduce(
+            [np.abs(s).max(axis=(1, 2)) for s in stacks]))
+        want = solve()
+    assert got.method == want.method == "commuting_exact"
+    assert [a.tobytes() for a in got.dominant.blocks] == [
+        b.tobytes() for b in want.dominant.blocks]
+    assert (got.norm, got.feasibility_margin, got.margins_measured) == (
+        want.norm, want.feasibility_margin, want.margins_measured)

@@ -25,13 +25,12 @@ from .algebra import (
     stack_abs,
     stack_abs_max,
     stack_hermitian_deviation,
-    stack_hermitian_part,
     stack_max,
     stack_sum,
 )
 from .averages import AverageFamily
 from .errors import IntegrityError, StructuralError
-from .maximal import PreparedFamily, _row_radii, dominant_element
+from .maximal import PreparedFamily, dominant_element, prepare_signed
 
 SOUNDNESS_SLACK = 1e-10
 
@@ -63,18 +62,21 @@ def _reach(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """Per block, bounds reach[b][k] >= ||e r_kb e||_2 for every projection e.
 
     ||e r e||_2 <= ||r||_2, which is at most ||r||_F and at most
-    sqrt(||r||_1 ||r||_inf) (largest column and row abs sums); the smaller
-    is padded by 1e-12 relative for rounding, which also covers the order
-    of the column-pass sums, plus d 2^-537 for the squares and products
-    that underflow below 2^-1022.
+    sqrt(||r||_1 ||r||_inf) (largest column and row abs sums), both taken of
+    r / t, t the largest |entry| of r, so that no square overflows; the
+    smaller, times t, is padded by 1e-12 relative for rounding, which also
+    covers the order of the column-pass sums, plus d 2^-537 for the
+    products that underflow below 2^-1022.
     """
     reach = []
     for r_b in stacks:
         mag = stack_abs(r_b)
+        top = stack_max(stack_max(mag))
+        mag /= np.where(top > 0.0, top, 1.0)  # an all-zero r stays 0
         fro = np.sqrt(stack_sum(stack_sum(mag * mag)))
         cols, rows = stack_max(stack_sum(mag)), stack_max(stack_sum(mag, axis=1))
         tiny = r_b.shape[-1] * 2.0**-537
-        reach.append(np.minimum(fro, np.sqrt(cols * rows)) * (1.0 + 1e-12) + tiny)
+        reach.append(top * np.minimum(fro, np.sqrt(cols * rows)) * (1.0 + 1e-12) + tiny)
     return reach
 
 
@@ -119,44 +121,6 @@ def _trace_complement(e: Projection) -> float:
     ))
 
 
-class _PreparedPart:
-    """A Hermitian residual family over its whole box, prepared once.
-
-    r holds the Hermitian parts of the stacks as given, plus and minus the
-    Gershgorin bounds of +r_k and -r_k, size each r_k's largest |entry| and
-    reach the _reach bounds of r. Every field is per member, in the box's C
-    order, so at a tail's indices it holds bit for bit what preparing the
-    tail's own family would. The stacks are not checked for Hermiticity:
-    certify_bau gates its input, and hermitian_split's parts are exact.
-    """
-
-    def __init__(self, stacks: list[np.ndarray]):
-        self.r = [stack_hermitian_part(s) for s in stacks]
-        radii = [_row_radii(x) for x in self.r]  # -r_k has diagonal -x_kii, same radii
-        self.plus = np.stack([stack_max(off + diag) for diag, off in radii], axis=1)
-        self.minus = np.stack([stack_max(off - diag) for diag, off in radii], axis=1)
-        self.size = stack_abs_max(self.r)
-        self.reach = _reach(self.r)
-
-    def plus_minus(self, idx: np.ndarray) -> PreparedFamily:
-        """The members r_k, -r_k interleaved (r_1, -r_1, r_2, ...) for k in idx.
-
-        r_k is exactly Hermitian, so the Hermitian part of -r_k is -r_k
-        with the -0.0 that negation leaves on the imaginary diagonal
-        cleared; the stacks are that, bit for bit.
-        """
-        stacks = []
-        for r_b in self.r:
-            g = r_b[idx]
-            pm = np.stack((g, -g), axis=1).reshape((-1,) + g.shape[1:])
-            diag = np.arange(g.shape[-1])
-            pm.imag[:, diag, diag] = 0.0
-            stacks.append(pm)
-        bound = np.stack((self.plus[idx], self.minus[idx]), axis=1)
-        return PreparedFamily(tuple(stacks), bound.reshape(-1, len(stacks)),
-                              np.repeat(self.size[idx], 2))
-
-
 def _verified(cert: BauCertificate) -> BauCertificate:
     """cert, once its re-measured fields are checked against its budget."""
     if not cert.sound:
@@ -169,10 +133,10 @@ def _verified(cert: BauCertificate) -> BauCertificate:
 
 
 def _certify_part(
-    part: _PreparedPart, idx: np.ndarray, alg: Algebra, onset: int, p: float,
-    epsilon: float, tol: float, max_iter: int,
+    part: PreparedFamily, reach: list[np.ndarray], idx: np.ndarray, alg: Algebra,
+    onset: int, p: float, epsilon: float, tol: float, max_iter: int,
 ) -> BauCertificate:
-    """The certificate of the members idx of a prepared family."""
+    """The certificate of the residuals idx of a signed family, reach its _reach."""
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"certification needs 1 < p < inf, got {p}")
@@ -181,7 +145,8 @@ def _certify_part(
         raise ValueError(f"epsilon must lie in (0, {total}), got {epsilon}")
     flags: list[str] = []
 
-    rep = dominant_element(part.plus_minus(idx), p, tol, max_iter, algebra=alg)
+    tail = part.take(idx)
+    rep = dominant_element(tail, p, tol, max_iter, algebra=alg)
     a = rep.dominant
     if not rep.converged:
         flags.append("bound not tight: dominant solve hit the iteration cap")
@@ -195,8 +160,7 @@ def _certify_part(
     lam = norm / epsilon ** (1.0 / p)
 
     e = spectral_projection(a, (-np.inf, lam))
-    tail_sup = _compressed_sup(e, [r_b[idx] for r_b in part.r],
-                               [c[idx] for c in part.reach])
+    tail_sup = _compressed_sup(e, list(tail.stacks), [c[idx] for c in reach])
     return _verified(BauCertificate(
         e, epsilon, lam, p, onset, tail_sup, norm, _trace_complement(e),
         len(idx), tuple(flags), rep.iterations, rep.converged,
@@ -227,8 +191,9 @@ def certify_bau(
             "residuals must be Hermitian; split complex residuals first "
             "(certify_bau_complex does this)"
         )
+    part = prepare_signed(stacks, algebra=residuals.algebra)
     return _certify_part(
-        _PreparedPart(stacks), np.arange(residuals.box.size), residuals.algebra,
+        part, _reach(part.stacks), np.arange(residuals.box.size), residuals.algebra,
         min(residuals.box.lower), p, epsilon, tol, max_iter,
     )
 
@@ -255,14 +220,14 @@ def _certify_tails(
 ) -> tuple[BauCertificate, ...]:
     """certify_bau_complex of residuals.restrict(box) for each box.
 
-    The residuals are split into Hermitian parts and each part is prepared
-    once (_PreparedPart); every tail takes its members by index.
+    The residuals' Hermitian parts are each prepared once, as a signed
+    family with its _reach bounds; every tail takes its members by index.
     """
     if not boxes:
         return ()
     alg = residuals.algebra
-    re_part, im_part = (_PreparedPart(f.block_stacks())
-                        for f in residuals.hermitian_split())
+    signed = [prepare_signed(f.block_stacks(), algebra=alg) for f in residuals.hermitian_split()]
+    prepared = [(part, _reach(part.stacks)) for part in signed]
     stacks = residuals.block_stacks()
     reach = _reach(stacks)
     mag = stack_abs_max(stacks)
@@ -271,14 +236,14 @@ def _certify_tails(
         idx = _members(residuals.box, box)
         onset = min(box.lower)
         scale = 1.0 + float(mag[idx].max(initial=0.0))
-        if float(im_part.size[idx].max(initial=0.0)) <= 1e-14 * scale:
-            parts = (_certify_part(re_part, idx, alg, onset, p, epsilon, tol, max_iter),)
+        if float(signed[1].size[idx].max(initial=0.0)) <= 1e-14 * scale:
+            parts = (_certify_part(*prepared[0], idx, alg, onset, p, epsilon, tol, max_iter),)
             e = parts[0].e
             flags = parts[0].flags + ("imaginary part negligible; certified the real part",)
         else:
             half = float(epsilon) / 2.0
-            parts = tuple(_certify_part(part, idx, alg, onset, p, half, tol, max_iter)
-                          for part in (re_part, im_part))
+            parts = tuple(_certify_part(*part, idx, alg, onset, p, half, tol, max_iter)
+                          for part in prepared)
             e = _meet(parts[0].e, parts[1].e)
             flags = (
                 "complex residuals split into Hermitian parts; e is the meet of the "

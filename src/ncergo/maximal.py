@@ -31,10 +31,11 @@ bit for bit the value the full batch gives, and every reported number is
 the one an exhaustive sweep gives.
 
 prepare_family validates a family and computes these per-member data once
-(a PreparedFamily); dominant_element takes either plain stacks, which it
-prepares, or a PreparedFamily, so callers that solve over nested families
-(certify's onset ladder) prepare once and take each solve's members by
-index.
+(a PreparedFamily), and prepare_signed computes them for a family with its
+negatives (certify's +-r_k) from one copy of each r_k; dominant_element
+takes plain stacks, which it prepares, or a PreparedFamily, so callers that
+solve over nested families (certify's onset ladder) prepare once and take
+each solve's members by index.
 """
 
 from __future__ import annotations
@@ -133,26 +134,44 @@ def _family_stacks(alg: Algebra, family: Sequence[np.ndarray]) -> list[np.ndarra
 class PreparedFamily:
     """A validated family of Hermitian members and its per-member screen data.
 
-    stacks holds the members' Hermitian parts, one (n, d_b, d_b) stack per
-    block; bound the (n, blocks) Gershgorin row bounds g_kb >=
-    lambda_max(x_kb); size each member's largest |entry| in stacks; given
-    the stacks as passed, or None when stacks stand for them (a family
-    built exactly Hermitian, such as certify's +-residuals). Every field is
-    per member, so take(idx) holds bit for bit what preparing the gathered
-    members gives.
+    stacks holds Hermitian x_k, one (m, d_b, d_b) stack per block. The
+    members are the x_k or, in a signed family, x_1, -x_1, x_2, ... (member
+    j is (-1)^j x_(j // 2)), formed by members(idx) only where a caller
+    gathers them. bound holds the (members, blocks) Gershgorin row bounds
+    g_jb >= lambda_max(x_jb); size each x_k's largest |entry|; given the
+    stacks as passed, or None when stacks stand for them (a family built
+    exactly Hermitian, such as certify's residual parts). take(idx) holds
+    bit for bit what preparing the gathered x_k gives.
     """
 
     stacks: tuple[np.ndarray, ...]
     bound: np.ndarray
     size: np.ndarray
     given: tuple[np.ndarray, ...] | None = None
+    signed: bool = False
 
     def take(self, idx) -> "PreparedFamily":
-        """The members idx (an index array), in that order."""
+        """The x_k for k in idx (an index sequence), in that order, with their signs."""
+        rows = (2 * np.asarray(idx)[:, None] + (0, 1)).ravel() if self.signed else idx
         return PreparedFamily(
-            tuple(s[idx] for s in self.stacks), self.bound[idx], self.size[idx],
+            tuple(s[idx] for s in self.stacks), self.bound[rows], self.size[idx],
             None if self.given is None else tuple(s[idx] for s in self.given),
+            self.signed,
         )
+
+    def members(self, idx) -> list[np.ndarray]:
+        """Per-block stacks of the members idx (an index sequence), in that order.
+        A member -x_k is x_k negated, with the -0.0 this leaves on its imaginary
+        diagonal cleared: the Hermitian part of -x_k, bit for bit."""
+        if not self.signed:
+            return [s[idx] for s in self.stacks]
+        idx = np.asarray(idx)
+        out = [s[idx // 2] for s in self.stacks]
+        for g in out:
+            np.negative(g, out=g, where=(idx % 2 == 1)[:, None, None])
+            diag = np.arange(g.shape[-1])
+            g.imag[:, diag, diag] = 0.0
+        return out
 
 
 def prepare_family(family: Sequence[np.ndarray], *, algebra: Algebra) -> PreparedFamily:
@@ -173,6 +192,16 @@ def prepare_family(family: Sequence[np.ndarray], *, algebra: Algebra) -> Prepare
                           tuple(raw))
 
 
+def prepare_signed(family: Sequence[np.ndarray], *, algebra: Algebra) -> PreparedFamily:
+    """Prepare the signed family x_1, -x_1, x_2, ... of per-block stacks
+    (m, d_b, d_b) of Hermitian x_k, holding each x_k once. Raises as
+    prepare_family does, but does not check Hermiticity: the Hermitian parts
+    stand for the x_k, so callers gate their input or build it exactly so."""
+    stacks = [stack_hermitian_part(s) for s in _family_stacks(algebra, family)]
+    return PreparedFamily(tuple(stacks), _gershgorin(stacks, True), stack_abs_max(stacks),
+                          signed=True)
+
+
 def _offdiag_max(s: np.ndarray) -> float:
     """Largest off-diagonal modulus over a (n, d, d) stack."""
     mag = np.abs(s)
@@ -187,40 +216,45 @@ def _margins_full(a_blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.nd
                               for a_b, x_b in zip(a_blocks, stacks)])
 
 
-def _row_radii(x_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, off), each (d, n): the real diagonals x_kii of an (n, d, d)
-    stack and the Gershgorin radii sum_{j != i} |x_kij|, by column passes."""
+def _row_radii(x_b: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off), each (d, members): the real diagonals of the members of
+    an (m, d, d) stack and their Gershgorin radii sum_{j != i} |x_kij|, by
+    column passes; -x_k of a signed family has x_k's radii, computed once."""
     mag = stack_abs(x_b)
     off = stack_sum(mag, axis=1)
     off -= np.diagonal(mag).T
-    return np.diagonal(x_b, axis1=1, axis2=2).real.T, off
+    diag = np.diagonal(x_b, axis1=1, axis2=2).real.T
+    if signed:
+        diag = np.stack((diag, -diag), axis=-1).reshape(len(diag), -1)
+        off = np.repeat(off, 2, axis=1)
+    return diag, off
 
 
-def _gershgorin(stacks: list[np.ndarray]) -> np.ndarray:
-    """(n, blocks) Gershgorin row bounds g_kb >= lambda_max(x_kb), no LAPACK.
+def _gershgorin(stacks: list[np.ndarray], signed: bool = False) -> np.ndarray:
+    """(members, blocks) Gershgorin row bounds g_jb >= lambda_max(x_jb), no LAPACK.
 
     The radii are column-pass sums, so g is exact up to the rounding every
     caller pads for.
     """
     cols = []
     for x_b in stacks:
-        diag, off = _row_radii(x_b)
+        diag, off = _row_radii(x_b, signed)
         off += diag
         cols.append(stack_max(off))
     return np.stack(cols, axis=1)
 
 
-def _top_member(stacks: list[np.ndarray], bound: np.ndarray,
-                scale: float) -> tuple[int, float]:
+def _top_member(members, bound: np.ndarray, scale: float) -> tuple[int, float]:
     """First member with the largest top eigenvalue, and that eigenvalue.
 
-    bound holds Gershgorin bounds g_kb >= lambda_max(x_kb). The member with
-    the largest bound is measured first; only members whose bound reaches
-    its value (less 1e-12 * scale for rounding) can hold or tie the
-    maximum, so only they are measured after it.
+    members(idx) gathers the stacks of the members idx; bound holds Gershgorin
+    bounds g_kb >= lambda_max(x_kb). The member with the largest bound is
+    measured first; only members whose bound reaches its value (less 1e-12 *
+    scale for rounding) can hold or tie the maximum, so only they are measured
+    after it.
     """
     def top(idx) -> np.ndarray:
-        return np.maximum.reduce([np.linalg.eigvalsh(x_b[idx])[:, -1] for x_b in stacks])
+        return np.maximum.reduce([np.linalg.eigvalsh(x_b)[:, -1] for x_b in members(idx)])
 
     bound = bound.max(axis=1)
     first = top([int(np.argmax(bound))])[0]
@@ -248,16 +282,17 @@ def _round_pad(a_blocks: list[np.ndarray], scale: float, a_norm: float) -> float
     return ROUND_PAD * d * d * np.finfo(float).eps * (scale + a_norm)
 
 
-def _diagonal_floor(m_blocks: list[np.ndarray], stacks: list[np.ndarray], scale: float):
+def _diagonal_floor(m_blocks: list[np.ndarray], stacks: list[np.ndarray], scale: float,
+                    signed: bool):
     """(floor, a, pad) for _margin_bounds' last, a = diag(m_b) per block.
 
     Gershgorin:
     lambda_min(a_b - x_kb) >= min_i (m_bi - x_kbii - sum_{j != i} |x_kbij|);
     floor[k] is the least over blocks, less the Weyl floor's pad.
     """
-    cols = []  # one (n,) column per block row i
+    cols = []  # one (members,) column per block row i
     for m, x_b in zip(m_blocks, stacks):
-        diag, off = _row_radii(x_b)
+        diag, off = _row_radii(x_b, signed)
         low = np.subtract(m[:, None], diag, out=np.empty_like(off))
         low -= off
         cols.extend(low)
@@ -266,9 +301,10 @@ def _diagonal_floor(m_blocks: list[np.ndarray], stacks: list[np.ndarray], scale:
     return fold(np.minimum, cols) - pad, a_blocks, pad
 
 
-def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
-                   bound: np.ndarray, scale: float, last=None, work=(), cap: float = 0.0):
-    """(low, near, pad): low[k] <= lambda_min(a - x_k), exact on near.
+def _margin_bounds(a_blocks: list[np.ndarray], members, bound: np.ndarray,
+                   scale: float, last=None, work=(), cap: float = 0.0):
+    """(low, near, pad): low[k] <= lambda_min(a - x_k), exact on near;
+    members(idx) gathers the members idx, as in _top_member.
 
     low is the larger of the Weyl floor and, when last = (low, a, pad) of an
     earlier call, that bound less ||a - a_last|| (Weyl again), both padded
@@ -298,7 +334,7 @@ def _margin_bounds(a_blocks: list[np.ndarray], stacks: list[np.ndarray],
             break
         if idx.size > chunk:
             idx = idx[np.argpartition(low[idx], chunk)[:chunk]]
-        low[idx] = _margins_full(a_blocks, [x_b[idx] for x_b in stacks])
+        low[idx] = _margins_full(a_blocks, members(idx))
         measured[idx] = True
         top = min(top, float(low[idx[outside[idx]]].min(initial=np.inf)))
         chunk *= MARGIN_CHUNK
@@ -310,10 +346,7 @@ def _tau_pair(u: list[np.ndarray], v: list[np.ndarray], wts) -> float:
     return float(sum(w * np.vdot(vb, ub).real for w, ub, vb in zip(wts, u, v)))
 
 
-def _solve_dual(
-    stacks: list[np.ndarray], alg: Algebra, p: float, tol: float, max_iter: int,
-    bound: np.ndarray, size: float,
-):
+def _solve_dual(prep: PreparedFamily, alg: Algebra, p: float, tol: float, max_iter: int):
     """Accelerated projected ascent on the smooth dual, over a working set W.
 
     For p > 1 the dual is g(rho) = sum_k tau(rho_k x_k) - (1/q) tau(S^q),
@@ -345,10 +378,11 @@ def _solve_dual(
     the finish's own margin query, and the number of margins measured.
     """
     wts = alg.trace_weights
+    members, bound, size = prep.members, prep.bound, float(prep.size.max())
     scale = 1.0 + size
     q = np.inf if p == 1.0 else p / (p - 1.0)
     mu = PROX_WEIGHT / max(size, 1e-300)  # so that a(S) is in the units of x
-    center = [np.zeros_like(x_b[0]) for x_b in stacks]  # p = 1 only
+    center = [np.zeros_like(x_b[0]) for x_b in prep.stacks]  # p = 1 only
 
     def a_of(rho: list[np.ndarray]) -> list[np.ndarray]:
         if p == 1.0:
@@ -365,8 +399,8 @@ def _solve_dual(
 
     # start from the positive part of the member with the largest top
     # eigenvalue, scaled to the best multiple (p > 1) or to ||S||_inf = 1
-    work = [_top_member(stacks, bound, scale)[0]]
-    x_w = [x_b[work] for x_b in stacks]
+    work = [_top_member(members, bound, scale)[0]]
+    x_w = members(work)
     rho = [stack_positive_part(x) for x in x_w]
     s_norm = norm_q(rho)
     if s_norm > 0.0:
@@ -382,7 +416,7 @@ def _solve_dual(
     t_mom, step, it, converged = 1.0, 1.0, 0, False
     while True:
         if it % CHECK_EVERY == 0:
-            low, near, pad = _margin_bounds(a_rho, stacks, bound, scale, last, work)
+            low, near, pad = _margin_bounds(a_rho, members, bound, scale, last, work)
             last, margins = (low, a_rho, pad), low[near]
             measured += near.size
             lift = max(0.0, -float(margins.min(initial=0.0)))
@@ -407,7 +441,7 @@ def _solve_dual(
             viol = np.flatnonzero((margins < -FEAS_TOL * scale) & ~np.isin(near, work))
             if viol.size:
                 work.append(int(near[viol[np.argmin(margins[viol])]]))
-                x_w = [x_b[work] for x_b in stacks]
+                x_w = members(work)
                 rho = [np.concatenate([r, np.zeros_like(r[:1])]) for r in rho]
                 y, a_y, t_mom = rho, a_rho, 1.0
         it += 1
@@ -434,13 +468,12 @@ def _solve_dual(
     return best_up[1], best_low, it, converged, best_up[2], measured
 
 
-def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
-                      tol: float = 1e-10):
-    """Common unitary diagonalizing every member, or None.
+def _joint_eigenbasis(stacks: list[np.ndarray], tol: float = 1e-10):
+    """Common unitary diagonalizing every matrix of the Hermitian stacks, or None.
 
-    raw holds the members as given, stacks their Hermitian parts. A basis
-    passes when it brings every member of stacks within eps = tol * scale
-    of diagonal (largest off-diagonal modulus). That needs the members to
+    A basis passes when it brings every matrix within eps = tol * scale of
+    diagonal (largest off-diagonal modulus), and then their negatives too,
+    so a signed family is tested on its x_k alone. That needs them to
     nearly commute: with x = V(D_x + E_x)V*, ||E_x||_F <= d eps and
     [D_x, D_y] = 0, ||[x, y]||_F <= 2 d eps (||x||_F + ||y||_F) + 6 d^2 eps^2.
     So before the seeded passes, each reducing the whole family, the first
@@ -448,9 +481,9 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
     with that bound doubled plus 1e-12 * scale^2 for rounding; a failure
     returns None, as both passes would.
     """
-    scale = 1.0 + max(float(np.abs(s).max()) for s in raw)
-    if all(_offdiag_max(s) <= 1e-13 * scale for s in raw):
-        return [np.eye(s.shape[-1], dtype=np.complex128) for s in raw]
+    scale = 1.0 + max(float(np.abs(s).max()) for s in stacks)
+    if all(_offdiag_max(s) <= 1e-13 * scale for s in stacks):
+        return [np.eye(s.shape[-1], dtype=np.complex128) for s in stacks]
     eps = tol * scale
     for x_b in stacks:
         head, d = x_b[:JOINT_CHUNK], x_b.shape[-1]
@@ -460,14 +493,14 @@ def _joint_eigenbasis(raw: list[np.ndarray], stacks: list[np.ndarray],
         if np.any(np.sqrt(np.sum(np.abs(comm) ** 2, axis=(1, 2)))
                   > allow + 1e-12 * scale * scale):
             return None
-    n = raw[0].shape[0]
+    n = stacks[0].shape[0]
     steps = np.arange(1, n + 1)
     for seed_coef in (1.2345678901, 2.7182818284):
         coef = np.cos(seed_coef * steps)[:, None, None]
         # sequential over members from 0, like sum() over a list
         basis = [
             np.linalg.eigh(stack_hermitian_part(np.add.reduce(coef * s, axis=0, initial=0)))[1]
-            for s in raw
+            for s in stacks
         ]
         # the residual test stops at the first chunk of members that fails
         if all(_offdiag_max(v.conj().T @ x_b[lo:lo + JOINT_CHUNK] @ v) <= tol * scale
@@ -505,13 +538,13 @@ def dominant_element(
 
     family holds the per-block stacks (n, d_b, d_b) of n Hermitian members
     of algebra, as AverageFamily.block_stacks() returns them, or the
-    PreparedFamily prepare_family makes of them; strided views, contiguous
-    copies and prepared families give the same report. Exact for p = inf, single
-    elements, and families with a joint eigenbasis; otherwise the dual
-    solver (see _solve_dual) runs until the verified relative gap is at most
-    tol or max_iter steps are spent. The reported norm belongs to a verified
-    feasible dominant, the lower bound to the dual certificate the report
-    carries.
+    PreparedFamily prepare_family or prepare_signed makes of them; strided
+    views, contiguous copies and prepared families give the same report.
+    Exact for p = inf, single elements, and families with a joint
+    eigenbasis; otherwise the dual solver (see _solve_dual) runs until the
+    verified relative gap is at most tol or max_iter steps are spent. The
+    reported norm belongs to a verified feasible dominant, the lower bound
+    to the dual certificate the report carries.
     """
     alg = algebra
     if isinstance(family, PreparedFamily):
@@ -523,16 +556,12 @@ def dominant_element(
         prep = prepare_family(family, algebra=alg)
     wts = alg.trace_weights
     stacks = list(prep.stacks)
-    raw = stacks if prep.given is None else list(prep.given)
-    n_members = stacks[0].shape[0]
-    size = float(prep.size.max())
-    scale = 1.0 + size
-    bound = prep.bound
+    scale = 1.0 + float(prep.size.max())
 
     def finish(a_el: Element, norm, lower, iters, converged, method,
                members=(), rho=(), measured=0, last=None):
-        low, near, pad = _margin_bounds(list(a_el.blocks), stacks, bound, scale,
-                                        last, cap=np.inf)
+        low, near, pad = _margin_bounds(list(a_el.blocks), prep.members, prep.bound,
+                                        scale, last, cap=np.inf)
         norm, lower = float(norm), float(lower)
         if lower > norm:
             # the dual bound can pass the primal norm only by rounding
@@ -549,7 +578,7 @@ def dominant_element(
         )
 
     if p == np.inf:
-        t = max(_top_member(stacks, bound, scale)[1], 0.0)
+        t = max(_top_member(prep.members, prep.bound, scale)[1], 0.0)
         a = alg.scalar(t)
         return finish(a, t, t, 0, True, "infinity_exact")
 
@@ -557,7 +586,8 @@ def dominant_element(
     if p < 1.0 or not np.isfinite(p):
         raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
 
-    if n_members == 1:
+    if len(prep.bound) == 1:
+        raw = stacks if prep.given is None else list(prep.given)
         if stack_is_positive(raw, 1e-10)[0]:
             a = alg.element([s[0] for s in raw])
         else:
@@ -565,18 +595,20 @@ def dominant_element(
         norm = lp_norm(a, p)
         return finish(a, norm, norm, 0, True, "single_exact")
 
-    basis = _joint_eigenbasis(raw, stacks)
+    basis = _joint_eigenbasis(stacks)
     if basis is not None:
         diags, identity = _basis_diagonals(basis, stacks)
+        if prep.signed:  # and those of the -x_k, -0.0 turned into 0.0 again
+            diags = [np.concatenate((d, -d + 0.0)) for d in diags]
         m_blocks = [np.maximum(member_max(diag), 0.0) for diag in diags]
         a_blocks = [(v * m) @ v.conj().T for v, m in zip(basis, m_blocks)]
         norm = sum(w * float(np.sum(m**p)) for w, m in zip(wts, m_blocks)) ** (1.0 / p)
         a = alg.element(a_blocks, True)
-        last = _diagonal_floor(m_blocks, stacks, scale) if identity else None
+        last = _diagonal_floor(m_blocks, stacks, scale, prep.signed) if identity else None
         return finish(a, norm, norm, 0, True, "commuting_exact", last=last)
 
     a_blocks, (lower, members, rho), iters, converged, last, measured = _solve_dual(
-        stacks, alg, p, tol, max_iter, bound, size
+        prep, alg, p, tol, max_iter
     )
     a = alg.element(a_blocks, True)
     return finish(a, lp_norm(a, p), lower, iters, converged, "dual_fista",

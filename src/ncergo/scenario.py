@@ -74,7 +74,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.8"
+TOOL_VERSION = "0.1.9"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")

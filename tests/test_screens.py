@@ -55,6 +55,11 @@ def screen_family(kind, seed, dims, n):
     return stacks
 
 
+def gather(stacks):
+    # the member gather _top_member and _margin_bounds take, of plain stacks
+    return lambda idx: [x_b[idx] for x_b in stacks]
+
+
 def full_margins(a_blocks, stacks):
     # unscreened: every member's min eigenvalue of a - x_k, across blocks
     return np.minimum.reduce([
@@ -119,12 +124,12 @@ def test_screened_kernels_equal_unscreened(dims, n, kind, a_kind, drift, work_si
 
     # top member: the first argmax and the max of the full eigvalsh
     k, top = full_top(stacks)
-    assert maximal._top_member(stacks, bound, scale) == (k, top)
+    assert maximal._top_member(gather(stacks), bound, scale) == (k, top)
 
     # the finish's query (cap = inf, no working set): the minimum margin
     a = trial_dominants(a_kind, stacks, top, rng)
     exact = full_margins(a, stacks)
-    low, near, _ = maximal._margin_bounds(a, stacks, bound, scale, cap=np.inf)
+    low, near, _ = maximal._margin_bounds(a, gather(stacks), bound, scale, cap=np.inf)
     assert low[near].min() == exact.min()
     assert np.all(low[near] == exact[near]) and np.all(low <= exact)
 
@@ -137,7 +142,8 @@ def test_screened_kernels_equal_unscreened(dims, n, kind, a_kind, drift, work_si
     last = None
     for a_t in (a, [b + drift * hermitian(rng, b.shape) for b in a]):
         exact = full_margins(a_t, stacks)
-        low, near, pad = maximal._margin_bounds(a_t, stacks, bound, scale, last, work)
+        low, near, pad = maximal._margin_bounds(a_t, gather(stacks), bound, scale, last,
+                                                work)
         assert np.all(near[1:] > near[:-1])
         assert np.all(low[near] == exact[near])
         assert np.all(low <= exact)
@@ -156,7 +162,7 @@ def test_min_margin_reaches_past_the_lowest_floor():
     zero = [np.zeros((2, 2), dtype=complex)]
     floor = maximal._weyl_floor(zero, bound, 1.6)[0]
     assert floor[0] < floor[1]
-    low, near, _ = maximal._margin_bounds(zero, stacks, bound, 1.6, cap=np.inf)
+    low, near, _ = maximal._margin_bounds(zero, gather(stacks), bound, 1.6, cap=np.inf)
     assert low[near].min() == full_margins(zero, stacks).min()
     assert full_margins(zero, stacks).min() == pytest.approx(-0.7935)
 
@@ -209,7 +215,7 @@ def test_noncommuting_member_past_first_chunk_is_caught():
     stack[:JOINT_CHUNK] = rng.uniform(-1.0, 1.5, size=(JOINT_CHUNK, 1, 1)) * np.eye(2)
     stack[JOINT_CHUNK + 11] = np.array([[0.5, 0.4], [0.4, -0.2]])
     alg = Algebra((2,))
-    assert maximal._joint_eigenbasis([stack], [stack]) is None
+    assert maximal._joint_eigenbasis([stack]) is None
     rep = maximal.dominant_element([stack], 2.0, tol=1e-6, algebra=alg)
     assert rep.method == "dual_fista"
 
@@ -247,7 +253,7 @@ def test_screens_skip_most_members_on_rate_d2_onset_one(monkeypatch):
     monkeypatch.setattr(maximal, "_margins_full", count_margins)
     monkeypatch.setattr(np.linalg, "svd", count_svd)
     monkeypatch.setattr(maximal, "_margin_bounds", wrap(
-        maximal._margin_bounds, "checks", lambda a, stacks, *_: stacks[0].shape[0]))
+        maximal._margin_bounds, "checks", lambda a, members, bound, *_: len(bound)))
     monkeypatch.setattr(bau, "_compressed_sup", wrap(
         bau._compressed_sup, "sup", lambda e, stacks, *_: stacks[0].shape[0]))
 
@@ -276,14 +282,15 @@ def residual_plus_minus(seed, dims, n):
     a shuffled order, so that member index says nothing of size."""
     rng = np.random.default_rng(seed)
     decay = 1.0 / np.arange(1, n + 1)[:, None, None]
-    return bau._PreparedPart([decay * hermitian(rng, (n, d, d)) for d in dims]).plus_minus(
-        rng.permutation(n))
+    return maximal.prepare_signed([decay * hermitian(rng, (n, d, d)) for d in dims],
+                                  algebra=Algebra(dims)).take(rng.permutation(n))
 
 
-def unscreened_margin_bounds(a_blocks, stacks, bound, scale, last=None, work=(), cap=0.0):
+def unscreened_margin_bounds(a_blocks, members, bound, scale, last=None, work=(), cap=0.0):
     # every member measured, at every check and at the finish
     pad = maximal._weyl_floor(a_blocks, bound, scale)[1]
-    return full_margins(a_blocks, stacks), np.arange(stacks[0].shape[0]), pad
+    every = np.arange(len(bound))
+    return full_margins(a_blocks, members(every)), every, pad
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -348,6 +355,49 @@ def test_prepared_family_take_equals_gathered_stacks(dims, n, kind, skew, p, see
     want = maximal.dominant_element([s[idx] for s in stacks], p, tol=1e-6,
                                     max_iter=300, algebra=alg)
     same_report(got, want)
+
+
+def interleaved_copy(signed, idx):
+    """The tail idx of a signed family as certify used to build it: a copy
+    holding r_k and -r_k in turn (np.stack), the -0.0 that negation leaves
+    on the imaginary diagonal cleared, prepared as a plain family."""
+    stacks = []
+    for r_b in signed.stacks:
+        g = r_b[idx]
+        pm = np.stack((g, -g), axis=1).reshape((-1,) + g.shape[1:])
+        diag = np.arange(g.shape[-1])
+        pm.imag[:, diag, diag] = 0.0
+        stacks.append(pm)
+    return maximal.PreparedFamily(tuple(stacks), maximal._gershgorin(stacks),
+                                  maximal.stack_abs_max(stacks))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    n=st.integers(1, 80),
+    kind=st.sampled_from(("diagonal", "near_duplicate", "general")),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_signed_family_equals_the_interleaved_copy(dims, n, kind, p, seed):
+    alg = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    signed = maximal.prepare_signed(screen_family(kind, seed, dims, n), algebra=alg)
+    idx = np.sort(rng.permutation(n)[:int(rng.integers(1, n + 1))])
+    tail = signed.take(idx)
+    got = maximal.dominant_element(tail, p, tol=1e-6, max_iter=300, algebra=alg)
+    want = maximal.dominant_element(interleaved_copy(signed, idx), p, tol=1e-6,
+                                    max_iter=300, algebra=alg)
+    basis = maximal._joint_eigenbasis(list(tail.stacks))
+    if basis is not None and not all(np.array_equal(v, np.eye(len(v))) for v in basis):
+        # the basis comes from the r_k alone, so it differs in rounding from
+        # the one the copy's 2m members give
+        assert got.method == want.method == "commuting_exact"
+        assert abs(got.norm - want.norm) <= 1e-14 * want.norm
+    else:
+        same_report(got, want)
+        assert got.margins_measured == want.margins_measured
 
 
 def complex_residuals(rng, dims, shape, real):
@@ -429,7 +479,7 @@ def test_commutator_pretest_keeps_joint_eigenbasis_on_perturbed_commuting(rel, s
     stacks = [rotated_commuting(rng, d, n) for d in (2, 3)[:1 + seed % 2]]
     stacks = [s + rel * hermitian(rng, s.shape) for s in stacks]
     want = joint_eigenbasis_oracle(stacks, stacks)
-    assert same_basis(maximal._joint_eigenbasis(stacks, stacks), want)
+    assert same_basis(maximal._joint_eigenbasis(stacks), want)
     if rel <= 1e-13:
         assert want is not None
 
@@ -443,7 +493,7 @@ def test_commutator_pretest_keeps_joint_eigenbasis_on_perturbed_commuting(rel, s
 )
 def test_commutator_pretest_keeps_joint_eigenbasis_on_screen_kinds(dims, n, kind, seed):
     stacks = screen_family(kind, seed, dims, n)
-    assert same_basis(maximal._joint_eigenbasis(stacks, stacks),
+    assert same_basis(maximal._joint_eigenbasis(stacks),
                       joint_eigenbasis_oracle(stacks, stacks))
 
 
@@ -480,7 +530,7 @@ def test_identity_basis_diagonals_equal_the_transform_bit_for_bit(dims, weights,
     prep = near_diagonal_family(seed, dims, 60)
     stacks = list(prep.stacks)
     assert all(np.signbit(x_b[::7, 0, 0].real).all() for x_b in stacks)
-    basis = maximal._joint_eigenbasis(stacks, stacks)
+    basis = maximal._joint_eigenbasis(stacks)
     assert all(np.array_equal(v, np.eye(v.shape[0])) for v in basis)
     got, identity = maximal._basis_diagonals(basis, stacks)
     assert identity
@@ -520,7 +570,9 @@ def parent_gershgorin(stacks):
     return np.stack(cols, axis=1)
 
 
-def parent_diagonal_floor(m_blocks, stacks, scale):
+def parent_diagonal_floor(m_blocks, stacks, scale, signed=False):
+    if signed:  # the members x_1, -x_1, x_2, ... as stacks of their own
+        stacks = [np.stack((x, -x), axis=1).reshape((-1,) + x.shape[1:]) for x in stacks]
     cols = []
     for m, x_b in zip(m_blocks, stacks):
         mag = np.abs(x_b)

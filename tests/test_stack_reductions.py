@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ncergo import bau, maximal
 from ncergo.algebra import (
+    Algebra,
     fold,
     member_max,
     stack_abs,
@@ -65,7 +66,7 @@ def test_max_kernels_equal_numpy_bit_for_bit(d, n, mix, seed):
     assert same_bits(stack_max(a, axis=1), a.max(axis=1))
     # over two axes in turn: the same only where no signed zeros tie
     assert same_bits(stack_max(stack_max(np.abs(a))), np.abs(a).max(axis=(0, 1)))
-    # what prepare_family, _PreparedPart and _certify_tails took before
+    # what prepare_family, prepare_signed and _certify_tails took before
     assert same_bits(stack_abs_max([s, t]), np.maximum.reduce(
         [np.abs(s).max(axis=(1, 2)), np.abs(t).max(axis=(1, 2))]))
     # the commuting route's entrywise maximum over members
@@ -105,12 +106,12 @@ def test_gershgorin_bounds_every_top_eigenvalue(dims, n, mix, seed):
     for b, x_b in enumerate(stacks):
         lam = np.linalg.eigvalsh(x_b)
         assert np.all(bound[:, b] + top_eigenvalue_pad(x_b) >= lam[:, -1])
-    # certify's +-r_k: plus bounds lambda_max(r_k), minus lambda_max(-r_k)
-    part = bau._PreparedPart(stacks)
-    for b, r_b in enumerate(part.r):
+    # certify's +-r_k: member 2k bounds lambda_max(r_k), 2k + 1 lambda_max(-r_k)
+    signed = maximal.prepare_signed(stacks, algebra=Algebra(dims))
+    for b, r_b in enumerate(signed.stacks):
         lam, pad = np.linalg.eigvalsh(r_b), top_eigenvalue_pad(r_b)
-        assert np.all(part.plus[:, b] + pad >= lam[:, -1])
-        assert np.all(part.minus[:, b] + pad >= -lam[:, 0])
+        assert np.all(signed.bound[0::2, b] + pad >= lam[:, -1])
+        assert np.all(signed.bound[1::2, b] + pad >= -lam[:, 0])
 
 
 def random_projection(rng, d):
@@ -143,11 +144,12 @@ def test_prepared_part_at_a_tails_indices_equals_the_tail_prepared_alone(dims, n
     rng = np.random.default_rng(seed)
     stacks = [hermitian_stack(rng, n, d, mix) for d in dims]
     idx = np.sort(rng.permutation(n)[:int(rng.integers(1, n + 1))])
-    whole, tail = bau._PreparedPart(stacks), bau._PreparedPart([s[idx] for s in stacks])
-    assert all(same_bits(a[idx], b) for a, b in zip(whole.r, tail.r))
-    assert all(same_bits(a[idx], b) for a, b in zip(whole.reach, tail.reach))
-    for field in ("plus", "minus", "size"):
-        assert same_bits(getattr(whole, field)[idx], getattr(tail, field))
-    got, want = whole.plus_minus(idx), tail.plus_minus(np.arange(idx.size))
+    alg = Algebra(dims)
+    whole = maximal.prepare_signed(stacks, algebra=alg)
+    got, want = whole.take(idx), maximal.prepare_signed([s[idx] for s in stacks], algebra=alg)
     assert all(same_bits(a, b) for a, b in zip(got.stacks, want.stacks))
+    assert all(same_bits(a[idx], b)
+               for a, b in zip(bau._reach(whole.stacks), bau._reach(want.stacks)))
     assert same_bits(got.bound, want.bound) and same_bits(got.size, want.size)
+    members = np.arange(2 * idx.size)
+    assert all(same_bits(a, b) for a, b in zip(got.members(members), want.members(members)))

@@ -11,6 +11,8 @@ p = inf (a multiple of the identity), single elements, and families sharing
 an eigenbasis (entrywise maxima there). The general route is one solver:
 accelerated projected ascent on the smooth form of the dual, whose iterates
 are both a dual certificate and, through S = sum_k rho_k, a primal point.
+For p = 2 the smooth part is the quadratic (1/2) tau(S^2), so the primal
+point is S itself and a step's only eigendecomposition is its projection.
 Every reported norm belongs to a verified feasible point, so it upper bounds
 the infimum; the reported lower bound is sum_k tau(rho_k x_k) for a
 certificate with rho_k >= 0 and ||sum_k rho_k||_q <= 1, so the truth is
@@ -203,11 +205,11 @@ def prepare_signed(family: Sequence[np.ndarray], *, algebra: Algebra) -> Prepare
 
 
 def _offdiag_max(s: np.ndarray) -> float:
-    """Largest off-diagonal modulus over a (n, d, d) stack."""
+    """Largest off-diagonal modulus over a (n, d, d) stack; 0 when n = 0."""
     mag = np.abs(s)
     diag = np.arange(s.shape[-1])
     mag[:, diag, diag] = 0.0
-    return float(mag.max())
+    return float(mag.max(initial=0.0))
 
 
 def _margins_full(a_blocks: list[np.ndarray], stacks: list[np.ndarray]) -> np.ndarray:
@@ -351,7 +353,12 @@ def _solve_dual(prep: PreparedFamily, alg: Algebra, p: float, tol: float, max_it
 
     For p > 1 the dual is g(rho) = sum_k tau(rho_k x_k) - (1/q) tau(S^q),
     S = sum_k rho_k, rho_k >= 0; its gradient in rho_k is x_k - a(S) with
-    a(S) = (S_+)^(q-1) the primal point S pairs with. For p = 1 the dual
+    a(S) = (S_+)^(q-1) the primal point S pairs with. For q = 2 the smooth
+    part is taken as (1/2) tau(S^2) on all of rho-space, which agrees with
+    (1/2) tau(S_+^2) wherever rho_k >= 0 (then S >= 0), so a(S) is the
+    Hermitian part of S at the start, at every candidate and at the
+    extrapolated point, ||S||_2 is the tau-Frobenius norm, and each step's
+    only eigendecomposition is the projection below. For p = 1 the dual
     constraint S <= 1 is smoothed by a proximal term: a(S) = (c + (S - 1)/mu)_+
     minimises tau((1 - S) a) + (mu/2) tau((a - c)^2) over a >= 0, and the
     centre c (first 0) moves to a at every check, so mu stays fixed and the
@@ -360,10 +367,12 @@ def _solve_dual(prep: PreparedFamily, alg: Algebra, p: float, tol: float, max_it
     FISTA (Beck & Teboulle, 2009) with backtracking on the local curvature
     tau(dS da) / ||d rho||^2, as in TFOCS, and gradient restart (O'Donoghue &
     Candes, 2015); each step clamps the (|W|, d_b, d_b) stacks to PSD with one
-    batched eigh per block. Every CHECK_EVERY steps a(S) meets the whole
-    family: the most violated member joins W, a + max(0, -min margin) * 1 is
-    a verified dominant (upper bound) and rho / ||S||_q a verified dual
-    certificate (lower bound). Stops at a best verified relative gap <= tol.
+    batched eigh per block, and for q != 2 a(S) takes one more per block at
+    the candidate and one at the extrapolated point. Every CHECK_EVERY steps
+    a(S) meets the whole family: the most violated member joins W,
+    a + max(0, -min margin) * 1 is a verified dominant (upper bound) and
+    rho / ||S||_q a verified dual certificate (lower bound). Stops at a best
+    verified relative gap <= tol.
 
     A check keeps a running lower bound on every margin (_margin_bounds):
     the larger of the Weyl floor lambda_min(a) - g_k (bound holds
@@ -388,10 +397,14 @@ def _solve_dual(prep: PreparedFamily, alg: Algebra, p: float, tol: float, max_it
         if p == 1.0:
             return [stack_positive_part(c + (r.sum(axis=0) - np.eye(c.shape[-1])) / mu)
                     for c, r in zip(center, rho)]
+        if q == 2.0:
+            return [stack_hermitian_part(r.sum(axis=0)) for r in rho]
         return [stack_eig_map(r.sum(axis=0), lambda lam: np.maximum(lam, 0.0) ** (q - 1.0))
                 for r in rho]
 
     def norm_q(rho: list[np.ndarray]) -> float:  # ||S||_q
+        if q == 2.0:
+            return float(stack_lp_norm(alg, [r.sum(axis=0)[None] for r in rho], 2.0)[0])
         lams = [np.abs(np.linalg.eigvalsh(r.sum(axis=0))) for r in rho]
         if p == 1.0:
             return max(float(lam.max()) for lam in lams)
@@ -468,21 +481,25 @@ def _solve_dual(prep: PreparedFamily, alg: Algebra, p: float, tol: float, max_it
     return best_up[1], best_low, it, converged, best_up[2], measured
 
 
-def _joint_eigenbasis(stacks: list[np.ndarray], tol: float = 1e-10):
+def _joint_eigenbasis(stacks: list[np.ndarray], scale: float, tol: float = 1e-10):
     """Common unitary diagonalizing every matrix of the Hermitian stacks, or None.
 
-    A basis passes when it brings every matrix within eps = tol * scale of
-    diagonal (largest off-diagonal modulus), and then their negatives too,
-    so a signed family is tested on its x_k alone. That needs them to
-    nearly commute: with x = V(D_x + E_x)V*, ||E_x||_F <= d eps and
-    [D_x, D_y] = 0, ||[x, y]||_F <= 2 d eps (||x||_F + ||y||_F) + 6 d^2 eps^2.
+    scale is 1 + the family's largest |entry|. When every matrix is within
+    1e-13 * scale of diagonal the basis is the identity; the rest of the
+    family is scanned for that only once its first JOINT_CHUNK members are.
+    Otherwise a basis passes when it brings every matrix within
+    eps = tol * scale of diagonal (largest off-diagonal modulus), and then
+    their negatives too, so a signed family is tested on its x_k alone.
+    That needs them to nearly commute: with x = V(D_x + E_x)V*,
+    ||E_x||_F <= d eps and [D_x, D_y] = 0,
+    ||[x, y]||_F <= 2 d eps (||x||_F + ||y||_F) + 6 d^2 eps^2.
     So before the seeded passes, each reducing the whole family, the first
     member of each block is tested against the first JOINT_CHUNK members,
     with that bound doubled plus 1e-12 * scale^2 for rounding; a failure
     returns None, as both passes would.
     """
-    scale = 1.0 + max(float(np.abs(s).max()) for s in stacks)
-    if all(_offdiag_max(s) <= 1e-13 * scale for s in stacks):
+    if all(_offdiag_max(x_b[lo:hi]) <= 1e-13 * scale
+           for lo, hi in ((0, JOINT_CHUNK), (JOINT_CHUNK, None)) for x_b in stacks):
         return [np.eye(s.shape[-1], dtype=np.complex128) for s in stacks]
     eps = tol * scale
     for x_b in stacks:
@@ -595,7 +612,7 @@ def dominant_element(
         norm = lp_norm(a, p)
         return finish(a, norm, norm, 0, True, "single_exact")
 
-    basis = _joint_eigenbasis(stacks)
+    basis = _joint_eigenbasis(stacks, scale)
     if basis is not None:
         diags, identity = _basis_diagonals(basis, stacks)
         if prep.signed:  # and those of the -x_k, -0.0 turned into 0.0 again

@@ -21,6 +21,7 @@ from ncergo.maximal import (
     dominant_element,
     interpolation_check,
     maximal_inequality_report,
+    prepare_signed,
 )
 from ncergo.algebra import Projection
 
@@ -323,6 +324,65 @@ def test_active_set_many_members():
     for x in fam:
         assert dominates(rep.dominant, x, tol=1e-6)
     assert rep.norm >= max(lp_norm(positive_part(x), 2.0) for x in fam) - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# p = 2: the dual's smooth part is the quadratic (1/2) tau(S^2), so a(S) = S
+
+@pytest.mark.parametrize("p, maps_sums", [(2.0, False), (3.0, True)])
+def test_p2_solve_eig_maps_no_sum(monkeypatch, p, maps_sums):
+    # the only eigendecompositions of a p = 2 step are the working set's
+    # projections, (|W|, d, d) stacks; a(S) = S_+^(q-1) for q != 2 needs one
+    # of the (d, d) sum S itself
+    from ncergo import algebra, maximal
+
+    shapes = []
+    for module in (algebra, maximal):
+        def spy(s, f, real=module.stack_eig_map):
+            shapes.append(s.shape)
+            return real(s, f)
+        monkeypatch.setattr(module, "stack_eig_map", spy)
+    alg = Algebra((3, 2))
+    rep = dominant_element(stack_family("noncommuting", 5, (3, 2), 12), p,
+                           max_iter=200, algebra=alg)
+    assert rep.method == "dual_fista" and rep.iterations > 0
+    assert shapes  # the projections
+    assert any(len(s) == 2 for s in shapes) == maps_sums
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_p2_signed_tail_bracket_is_sound_and_dominant_positive(dims, n, seed):
+    # certify's shape: the +-family of decaying residuals, a tail taken by index
+    dims = [max(dims[0], 2)] + dims[1:]
+    alg = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    decay = 1.0 / np.arange(1, n + 1)[:, None, None]
+    part = prepare_signed([decay * s for s in stack_family("noncommuting", seed, dims, n)],
+                          algebra=alg)
+    tail = part.take(np.sort(rng.permutation(n)[:int(rng.integers(2, n + 1))]))
+    rep = dominant_element(tail, 2.0, max_iter=2000, algebra=alg)
+    assert rep.method == "dual_fista"
+    scale = 1.0 + float(tail.size.max())
+    assert rep.feasibility_margin >= -FEAS_TOL * scale
+    # no clamp makes the dominant positive: a >= +-r_k does
+    assert is_positive(rep.dominant, 1e-9)
+    assert len(rep.members) == len(set(rep.members)) == rep.rho[0].shape[0]
+    for r in rep.rho:
+        lam = np.linalg.eigvalsh(r)
+        assert np.all(lam >= -1e-12 * (1.0 + np.abs(lam).max(initial=0.0)))
+    norm_q = sum(w * float(np.sum(np.linalg.eigvalsh(r.sum(axis=0)) ** 2))
+                 for w, r in zip(alg.trace_weights, rep.rho)) ** 0.5
+    assert norm_q <= 1.0 + 1e-12
+    members = tail.members(list(rep.members))
+    pairing = sum(w * float(np.einsum("kij,kji->", r, s).real)
+                  for w, r, s in zip(alg.trace_weights, rep.rho, members))
+    assert rep.lower_bound == pytest.approx(pairing, rel=1e-12, abs=1e-15)
+    assert rep.lower_bound <= rep.norm
 
 
 # ---------------------------------------------------------------------------

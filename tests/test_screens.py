@@ -192,6 +192,11 @@ def test_screened_compressed_sup_equals_batched_svd(dims, n, kind, seed):
 # ---------------------------------------------------------------------------
 # joint-eigenbasis residual test in member chunks
 
+def joint_eigenbasis(stacks):
+    # dominant_element passes 1 + the family's largest |entry| as the scale
+    return maximal._joint_eigenbasis(stacks, 1.0 + max(float(np.abs(s).max()) for s in stacks))
+
+
 def rotated_commuting(rng, d, n):
     u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
     lam = rng.uniform(-1.0, 1.5, size=(n, d))
@@ -215,7 +220,7 @@ def test_noncommuting_member_past_first_chunk_is_caught():
     stack[:JOINT_CHUNK] = rng.uniform(-1.0, 1.5, size=(JOINT_CHUNK, 1, 1)) * np.eye(2)
     stack[JOINT_CHUNK + 11] = np.array([[0.5, 0.4], [0.4, -0.2]])
     alg = Algebra((2,))
-    assert maximal._joint_eigenbasis([stack]) is None
+    assert joint_eigenbasis([stack]) is None
     rep = maximal.dominant_element([stack], 2.0, tol=1e-6, algebra=alg)
     assert rep.method == "dual_fista"
 
@@ -389,7 +394,7 @@ def test_signed_family_equals_the_interleaved_copy(dims, n, kind, p, seed):
     got = maximal.dominant_element(tail, p, tol=1e-6, max_iter=300, algebra=alg)
     want = maximal.dominant_element(interleaved_copy(signed, idx), p, tol=1e-6,
                                     max_iter=300, algebra=alg)
-    basis = maximal._joint_eigenbasis(list(tail.stacks))
+    basis = maximal._joint_eigenbasis(list(tail.stacks), 1.0 + float(tail.size.max()))
     if basis is not None and not all(np.array_equal(v, np.eye(len(v))) for v in basis):
         # the basis comes from the r_k alone, so it differs in rounding from
         # the one the copy's 2m members give
@@ -479,7 +484,7 @@ def test_commutator_pretest_keeps_joint_eigenbasis_on_perturbed_commuting(rel, s
     stacks = [rotated_commuting(rng, d, n) for d in (2, 3)[:1 + seed % 2]]
     stacks = [s + rel * hermitian(rng, s.shape) for s in stacks]
     want = joint_eigenbasis_oracle(stacks, stacks)
-    assert same_basis(maximal._joint_eigenbasis(stacks), want)
+    assert same_basis(joint_eigenbasis(stacks), want)
     if rel <= 1e-13:
         assert want is not None
 
@@ -493,7 +498,7 @@ def test_commutator_pretest_keeps_joint_eigenbasis_on_perturbed_commuting(rel, s
 )
 def test_commutator_pretest_keeps_joint_eigenbasis_on_screen_kinds(dims, n, kind, seed):
     stacks = screen_family(kind, seed, dims, n)
-    assert same_basis(maximal._joint_eigenbasis(stacks),
+    assert same_basis(joint_eigenbasis(stacks),
                       joint_eigenbasis_oracle(stacks, stacks))
 
 
@@ -530,7 +535,7 @@ def test_identity_basis_diagonals_equal_the_transform_bit_for_bit(dims, weights,
     prep = near_diagonal_family(seed, dims, 60)
     stacks = list(prep.stacks)
     assert all(np.signbit(x_b[::7, 0, 0].real).all() for x_b in stacks)
-    basis = maximal._joint_eigenbasis(stacks)
+    basis = maximal._joint_eigenbasis(stacks, 1.0 + float(prep.size.max()))
     assert all(np.array_equal(v, np.eye(v.shape[0])) for v in basis)
     got, identity = maximal._basis_diagonals(basis, stacks)
     assert identity

@@ -48,6 +48,13 @@ class LinearOperator:
     block). The matrices are copied and made read-only; each copy keeps the
     memory order it was given in, since BLAS rounds a product by a C-ordered
     and an F-ordered matrix differently.
+
+    A map that preserves adjoints is also held, once first asked for, as one
+    real d_b^2 x d_b^2 matrix R_b per block (`real_blocks`): R_b acts on the
+    real coordinates [Re h_ii | Re h_ij (i < j) | Im h_ij (i < j)] of a
+    self-adjoint h in block b (pairs in row-major order, see
+    `self_adjoint_index`). It is built from the transfer block's columns by
+    index arithmetic and cached.
     """
 
     def __init__(self, algebra: Algebra, blocks: Sequence[np.ndarray],
@@ -68,6 +75,10 @@ class LinearOperator:
         self.algebra = algebra
         self.notes = tuple(notes)
         self.transfer_blocks = tuple(mats)
+        self._real_blocks: tuple[np.ndarray, ...] | None = None
+
+    def __repr__(self) -> str:
+        return f"LinearOperator(dims={self.algebra.block_dims})"
 
     @classmethod
     def from_matrix(cls, algebra: Algebra, matrix: np.ndarray) -> "LinearOperator":
@@ -110,15 +121,30 @@ class LinearOperator:
             np.matmul(m, v[s], out=out[s])
         return out
 
-    def apply_rows(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[i] = T(rows[i]) for 2-D stacks of vec-coordinate rows.
+    @property
+    def real_blocks(self) -> tuple[np.ndarray, ...]:
+        """The read-only real matrices R_b, built on first use and cached.
 
-        One (points, d_b^2) x (d_b^2, d_b^2) product per block; out may be
-        rows itself.
+        Raises StructuralError when a transfer block does not preserve
+        adjoints, that is when M[(j,i),(l,k)] deviates from conj
+        M[(i,j),(k,l)] by more than KIND_TOL * (1 + max |M|): such a map has
+        no real form on the self-adjoint coordinates.
         """
-        for s, m in zip(self.algebra._slices, self.transfer_blocks):
-            np.matmul(rows[:, s], m.T, out=out[:, s])
-        return out
+        if self._real_blocks is None:
+            blocks = []
+            for b, (m, d) in enumerate(zip(self.transfer_blocks, self.algebra.block_dims)):
+                dev = _adjoint_deviation(m, d)
+                allowed = KIND_TOL * (1.0 + float(np.abs(m).max()))
+                if dev > allowed:
+                    raise StructuralError(
+                        f"transfer block {b} does not preserve adjoints: "
+                        f"deviation {dev:.3e} > {allowed:.3e}"
+                    )
+                r = _real_block(m, d)
+                r.setflags(write=False)
+                blocks.append(r)
+            self._real_blocks = tuple(blocks)
+        return self._real_blocks
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
@@ -139,6 +165,49 @@ def operator_from_function(algebra: Algebra,
         for j in range(d)
     ]
     return LinearOperator.from_matrix(algebra, np.column_stack(cols))
+
+
+def self_adjoint_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec positions, in one d x d block, of the diagonal (i, i), of the
+    upper entries (i, j) with i < j in row-major order, and of their mirrors
+    (j, i). A self-adjoint h has the d^2 real coordinates
+    [Re h_ii | Re h_ij | Im h_ij] over these positions."""
+    iu, ju = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), iu * d + ju, ju * d + iu
+
+
+def _adjoint_deviation(m: np.ndarray, d: int) -> float:
+    """max |conj M[(j,i),(l,k)] - M[(i,j),(k,l)]| over one transfer block."""
+    perm = _adjoint_permutation(d)
+    dev = m[np.ix_(perm, perm)]
+    np.conjugate(dev, out=dev)
+    dev -= m
+    return float(np.abs(dev).max())
+
+
+def _real_block(m: np.ndarray, d: int) -> np.ndarray:
+    """R_b of an adjoint-preserving transfer block m.
+
+    Column q is the image of the q-th real basis element: E_ii, E_ij + E_ji
+    or i(E_ij - E_ji), whose images are m's columns at (i, i), their sum at
+    (i, j) and (j, i), and i times their difference. Row p reads a
+    coordinate of that image: Re at (i, i), Re or Im at (i, j). Only the
+    rows at (i, i) and (i, j) of m are read.
+    """
+    diag, up, low = self_adjoint_index(d)
+    k = d + len(up)
+    rows = np.concatenate([diag, up])
+    r = np.empty((d * d, d * d))
+    col = m[np.ix_(rows, diag)]
+    r[:k, :d], r[k:, :d] = col.real, col.imag[d:]
+    plus = m[np.ix_(rows, up)]
+    minus = m[np.ix_(rows, low)]
+    col = plus + minus
+    r[:k, d:k], r[k:, d:k] = col.real, col.imag[d:]
+    plus -= minus
+    np.negative(plus.imag, out=r[:k, k:])
+    r[k:, k:] = plus.real[d:]
+    return r
 
 
 class AbsoluteContraction(LinearOperator):
@@ -349,10 +418,7 @@ def _adjoint_permutation(d: int) -> np.ndarray:
 def is_hermiticity_preserving(op: LinearOperator, tol: float = 1e-10) -> bool:
     blocks = op.transfer_blocks
     scale = 1.0 + max(float(np.abs(m).max()) for m in blocks)
-    dev = max(
-        float(np.abs(np.conj(m[np.ix_(perm, perm)]) - m).max())
-        for m, perm in zip(blocks, map(_adjoint_permutation, op.algebra.block_dims))
-    )
+    dev = max(map(_adjoint_deviation, blocks, op.algebra.block_dims))
     return dev <= tol * scale
 
 

@@ -14,6 +14,7 @@ from ncergo._numeric import kahan_cumsum
 from ncergo._rng import generator
 from ncergo.algebra import Algebra, Box, Projection, lp_norm, trace, volume
 from ncergo.averages import (
+    GridStream,
     _iterate_powers,
     _walk_slabs,
     ergodic_average_family,
@@ -24,14 +25,16 @@ from ncergo.averages import (
 )
 from ncergo.contraction import (
     apply_power,
+    composition,
     convex_combination,
     identity_map,
     kraus,
+    operator_from_function,
     pinching,
     scaled_unitary,
     substochastic,
 )
-from ncergo.errors import BudgetError
+from ncergo.errors import BudgetError, StructuralError
 from ncergo.weights import TrigPolynomial, TrigTerm, eval_weight_box
 
 
@@ -235,6 +238,116 @@ def test_slab_walk_matches_per_point_walk(dims, n, chunk, last, extra,
     assert fam.raw().shape == want.shape
     assert fam.raw().tobytes() == want.tobytes()
     assert fam.applications == ref_count
+
+
+def per_point_grid(maps, x, upper):
+    ref = np.empty(tuple(upper) + (x.algebra.basis_size,), dtype=np.complex128)
+    flat = ref.reshape(-1, x.algebra.basis_size)
+
+    def visit(pos, v):
+        flat[pos] = v
+
+    _iterate_powers(maps, x.algebra.vec(x), tuple(upper), visit)
+    return ref
+
+
+def element_of_kind(alg, rng, kind):
+    """An exactly Hermitian, a nearly Hermitian (one entry moved by a few
+    units in its last place) or a general element."""
+    if kind == "general":
+        return alg.random_element(rng, kind="general")
+    x = alg.random_element(rng, kind="hermitian")
+    if kind == "hermitian":
+        return x
+    blocks = [b.copy() for b in x.blocks]
+    b = int(rng.integers(len(blocks)))
+    i, j = (int(v) for v in rng.integers(blocks[b].shape[0], size=2))
+    blocks[b][i, j] += 4 * np.spacing(abs(blocks[b][i, j])) * (1 + 1j)
+    return alg.element(blocks)
+
+
+def is_exactly_hermitian(alg, rows):
+    return all(
+        np.array_equal(s, np.conj(np.swapaxes(s, -1, -2)))
+        and not np.diagonal(s, axis1=-2, axis2=-1).imag.any()
+        for s in alg.block_stacks(rows)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    kind=st.sampled_from(["hermitian", "nearly", "general"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_walk_matches_complex_per_point_walk(dims, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    alg = Algebra(dims, tuple(rng.uniform(0.1, 3.0, size=len(dims))))
+    x = element_of_kind(alg, rng, kind)
+    maps = [random_map(alg, rng) for _ in n]
+    ref = per_point_grid(maps, x, n)
+    grid = np.full_like(ref, np.nan)
+    _walk_slabs(maps, alg.vec(x), grid)
+    assert np.abs(grid - ref).max() <= 1e-12 * (1.0 + x.max_abs())
+    if kind == "hermitian":
+        # every walked T^k x is exactly self-adjoint, which the complex
+        # walk leaves to rounding
+        assert is_exactly_hermitian(alg, grid.reshape(-1, alg.basis_size))
+
+
+@pytest.mark.parametrize("kind,parts", [("hermitian", 1), ("nearly", 2),
+                                        ("general", 2)])
+def test_walk_takes_one_real_part_only_for_a_self_adjoint_x(monkeypatch, kind, parts):
+    alg = Algebra((3, 2))
+    rng = generator(21, "parts")
+    x = element_of_kind(alg, rng, kind)
+    maps = [random_map(alg, rng) for _ in range(2)]
+    seen = []
+    real_step = averages._real_step
+
+    def counted(t, rows, out):
+        seen.append(rows.shape[0])
+        real_step(t, rows, out)
+
+    monkeypatch.setattr(averages, "_real_step", counted)
+    fam = weighted_average_grid(trig_weight(2, 21), maps, x, Box.full((3, 5)))
+    # one step on axis 1 from the single point x, then 4 more; 5 steps of
+    # the 3-point slab on axis 2
+    assert seen == [parts] * 3 + [3 * parts] * 5
+    want = weighted_average_direct(trig_weight(2, 21), maps, x, (3, 5))
+    assert (fam.value((3, 5)) - want).max_abs() <= 1e-12 * (1.0 + x.max_abs())
+
+
+def test_grid_refuses_a_map_that_does_not_preserve_adjoints():
+    alg = Algebra((2, 1))
+    a = np.array([[0.5, 0.4], [0.0, 0.3]], dtype=complex)
+    left = operator_from_function(
+        alg, lambda x: alg.element([a @ x.blocks[0], x.blocks[1]]))
+    x = alg.random_element(generator(22, "adj"), kind="hermitian")
+    maps = [identity_map(alg), left]
+    with pytest.raises(StructuralError, match=r"map 2 of 2.*deviation 4\.000e-01"):
+        GridStream(trig_weight(2, 22), maps, x, Box.full((2, 2)))
+    with pytest.raises(StructuralError, match="does not preserve adjoints"):
+        weighted_average_grid(trig_weight(2, 22), maps, x, Box.full((2, 2)))
+
+
+def test_grid_accepts_a_composition_whose_adjoint_deviation_is_rounding():
+    alg = Algebra((3, 2))
+    rng = generator(23, "comp")
+    t = composition([random_map(alg, rng) for _ in range(3)])
+    perm = [np.arange(d * d).reshape(d, d).T.reshape(-1) for d in alg.block_dims]
+    assert any(not np.array_equal(np.conj(m[np.ix_(p, p)]), m)
+               for m, p in zip(t.transfer_blocks, perm))
+    x = alg.random_element(rng, kind="general")
+    maps = [t, random_map(alg, rng)]
+    ref = per_point_grid(maps, x, (4, 3))
+    grid = np.empty_like(ref)
+    _walk_slabs(maps, alg.vec(x), grid)
+    assert np.abs(grid - ref).max() <= 1e-12 * (1.0 + x.max_abs())
+    fam = weighted_average_grid(trig_weight(2, 23), maps, x, Box.full((4, 3)))
+    want = weighted_average_direct(trig_weight(2, 23), maps, x, (4, 3))
+    assert (fam.value((4, 3)) - want).max_abs() <= 1e-12 * (1.0 + x.max_abs())
 
 
 def test_grid_peak_memory_is_bounded_by_the_family():

@@ -386,6 +386,11 @@ def stack_hermitian_part(s: np.ndarray) -> np.ndarray:
     return (s + np.conj(np.swapaxes(s, -1, -2))) / 2
 
 
+def stack_imaginary_part(s: np.ndarray) -> np.ndarray:
+    """(x - x*) / 2i, the k of x = h + ik, for every matrix x in a (..., d, d) stack."""
+    return (s - np.conj(np.swapaxes(s, -1, -2))) / 2j
+
+
 def stack_eig_map(s: np.ndarray, f) -> np.ndarray:
     """f applied to the eigenvalues of every Hermitian matrix in s (..., d, d).
 

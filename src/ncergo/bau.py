@@ -5,14 +5,15 @@ projection e with small trace deficit tau(1 - e) <= epsilon such that every
 compressed residual satisfies ||e r_n e||_inf <= lambda. The construction
 is: dominate +-r_n by a single positive a, cut the spectrum of a at the
 Chebyshev level lambda = ||a||_p / epsilon^(1/p), and let e be the spectral
-projection of a below lambda. Everything reported is re-measured on the
-actual inputs, so a returned certificate is sound by inspection, not by
-construction alone.
+projection of a below lambda; complex r_n take the meet of their Hermitian
+parts' cuts. Each returned certificate is re-measured once, on the residuals
+it certifies, so it is sound by inspection, not by construction alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,12 +26,14 @@ from .algebra import (
     stack_abs,
     stack_abs_max,
     stack_hermitian_deviation,
+    stack_hermitian_part,
+    stack_imaginary_part,
     stack_max,
     stack_sum,
 )
 from .averages import AverageFamily
 from .errors import IntegrityError, StructuralError
-from .maximal import PreparedFamily, dominant_element, prepare_signed
+from .maximal import DominantReport, PreparedFamily, dominant_element, prepare_signed
 
 SOUNDNESS_SLACK = 1e-10
 
@@ -112,41 +115,31 @@ def _compressed_sup(e: Projection, stacks: list[np.ndarray], reach=None) -> floa
     return worst
 
 
-def _trace_complement(e: Projection) -> float:
-    """tau(1 - e) = sum_b w_b (d_b - rank e_b), exact from the ranks of e."""
-    alg = e.algebra
-    return float(sum(
-        w * (d - round(float(np.trace(b).real)))
-        for w, d, b in zip(alg.trace_weights, alg.block_dims, e.element.blocks)
-    ))
-
-
-def _verified(cert: BauCertificate) -> BauCertificate:
-    """cert, once its re-measured fields are checked against its budget."""
-    if not cert.sound:
-        raise IntegrityError(
-            f"certificate failed re-verification: tau(1-e)={cert.trace_complement:.6g} "
-            f"vs epsilon={cert.epsilon:.6g}, tail_sup={cert.tail_sup:.6g} vs "
-            f"lambda={cert.lam:.6g}"
-        )
-    return cert
-
-
-def _certify_part(
-    part: PreparedFamily, reach: list[np.ndarray], idx: np.ndarray, alg: Algebra,
-    onset: int, p: float, epsilon: float, tol: float, max_iter: int,
-) -> BauCertificate:
-    """The certificate of the residuals idx of a signed family, reach its _reach."""
+def _budget(p: float, epsilon: float, alg: Algebra) -> tuple[float, float]:
+    """p and epsilon as floats, once 1 < p < inf and 0 < epsilon < tau(1) hold."""
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"certification needs 1 < p < inf, got {p}")
     epsilon, total = float(epsilon), alg.total_trace()
     if not 0.0 < epsilon < total:
         raise ValueError(f"epsilon must lie in (0, {total}), got {epsilon}")
-    flags: list[str] = []
+    return p, epsilon
 
-    tail = part.take(idx)
-    rep = dominant_element(tail, p, tol, max_iter, algebra=alg)
+
+class _Cut(NamedTuple):
+    """e = chi_(-inf, lam)(a) for a dominant a; norm = ||a||_p, lam = norm / epsilon^(1/p)."""
+    e: Projection
+    lam: float
+    norm: float
+    report: DominantReport
+    flags: tuple[str, ...]
+
+
+def _cut(part: PreparedFamily, idx: np.ndarray, alg: Algebra, p: float, epsilon: float,
+         tol: float, max_iter: int) -> _Cut:
+    """The cut of the dominant of the residuals idx of a signed family; nothing is measured."""
+    flags: list[str] = []
+    rep = dominant_element(part.take(idx), p, tol, max_iter, algebra=alg)
     a = rep.dominant
     if not rep.converged:
         flags.append("bound not tight: dominant solve hit the iteration cap")
@@ -158,13 +151,33 @@ def _certify_part(
         flags.append(f"dominant lifted by {lift:.3g} to restore exact feasibility")
     norm = lp_norm(a, p)
     lam = norm / epsilon ** (1.0 / p)
+    return _Cut(spectral_projection(a, (-np.inf, lam)), lam, norm, rep, tuple(flags))
 
-    e = spectral_projection(a, (-np.inf, lam))
-    tail_sup = _compressed_sup(e, list(tail.stacks), [c[idx] for c in reach])
-    return _verified(BauCertificate(
-        e, epsilon, lam, p, onset, tail_sup, norm, _trace_complement(e),
-        len(idx), tuple(flags), rep.iterations, rep.converged,
+
+def _certificate(cuts: tuple[_Cut, ...], flags: tuple[str, ...], stacks, reach,
+                 idx: np.ndarray, p: float, epsilon: float, onset: int) -> BauCertificate:
+    """The certificate of the residuals idx of stacks (reach their _reach) by the cuts."""
+    # e: the cuts' meet (range intersection); of two, the eigenvalue-2 eigenspace of e_r + e_i
+    e = cuts[0].e if len(cuts) == 1 else spectral_projection(
+        cuts[0].e.element + cuts[1].e.element, (2.0 - 1e-10, np.inf))
+    # tau(1 - e) = sum_b w_b (d_b - rank e_b), exact from the ranks of e
+    trace_complement = float(sum(
+        w * (d - round(float(np.trace(b).real)))
+        for w, d, b in zip(e.algebra.trace_weights, e.algebra.block_dims, e.element.blocks)
     ))
+    cert = BauCertificate(
+        e, epsilon, sum(c.lam for c in cuts), p, onset,
+        _compressed_sup(e, [s[idx] for s in stacks], [c[idx] for c in reach]),
+        sum(c.norm for c in cuts), trace_complement, len(idx), flags,
+        sum(c.report.iterations for c in cuts), all(c.report.converged for c in cuts),
+    )
+    if not cert.sound:
+        raise IntegrityError(
+            f"certificate failed re-verification: tau(1-e)={cert.trace_complement:.6g} "
+            f"vs epsilon={cert.epsilon:.6g}, tail_sup={cert.tail_sup:.6g} vs "
+            f"lambda={cert.lam:.6g}"
+        )
+    return cert
 
 
 def certify_bau(
@@ -192,16 +205,11 @@ def certify_bau(
             "(certify_bau_complex does this)"
         )
     part = prepare_signed(stacks, algebra=residuals.algebra)
-    return _certify_part(
-        part, _reach(part.stacks), np.arange(residuals.box.size), residuals.algebra,
-        min(residuals.box.lower), p, epsilon, tol, max_iter,
-    )
-
-
-def _meet(e_r: Projection, e_i: Projection) -> Projection:
-    """Range intersection via the eigenvalue-2 eigenspace of e_r + e_i."""
-    s = e_r.element + e_i.element
-    return spectral_projection(s, (2.0 - 1e-10, np.inf))
+    p, epsilon = _budget(p, epsilon, residuals.algebra)
+    idx = np.arange(residuals.box.size)
+    cut = _cut(part, idx, residuals.algebra, p, epsilon, tol, max_iter)
+    return _certificate((cut,), cut.flags, part.stacks, _reach(part.stacks), idx, p, epsilon,
+                        min(residuals.box.lower))
 
 
 def _members(box: Box, sub: Box) -> np.ndarray:
@@ -217,45 +225,36 @@ def _members(box: Box, sub: Box) -> np.ndarray:
 def _certify_tails(
     residuals: AverageFamily, p: float, epsilon: float, boxes: list[Box],
     tol: float, max_iter: int,
-) -> tuple[BauCertificate, ...]:
-    """certify_bau_complex of residuals.restrict(box) for each box.
+) -> Iterator[BauCertificate]:
+    """certify_bau_complex of residuals.restrict(box) for each box, in turn.
 
-    The residuals' Hermitian parts are each prepared once, as a signed
-    family with its _reach bounds; every tail takes its members by index.
+    The Hermitian parts (s + s*) / 2 and (s - s*) / 2i of the residual stacks s
+    are each prepared once as a signed family; a tail's cuts take its members
+    by index, and only its certificate is measured, on the s themselves.
     """
     if not boxes:
-        return ()
+        return
     alg = residuals.algebra
-    signed = [prepare_signed(f.block_stacks(), algebra=alg) for f in residuals.hermitian_split()]
-    prepared = [(part, _reach(part.stacks)) for part in signed]
     stacks = residuals.block_stacks()
+    parts = [prepare_signed([half(s) for s in stacks], algebra=alg)
+             for half in (stack_hermitian_part, stack_imaginary_part)]
+    p, epsilon = _budget(p, epsilon, alg)
     reach = _reach(stacks)
     mag = stack_abs_max(stacks)
-    certs = []
     for box in boxes:
         idx = _members(residuals.box, box)
-        onset = min(box.lower)
         scale = 1.0 + float(mag[idx].max(initial=0.0))
-        if float(signed[1].size[idx].max(initial=0.0)) <= 1e-14 * scale:
-            parts = (_certify_part(*prepared[0], idx, alg, onset, p, epsilon, tol, max_iter),)
-            e = parts[0].e
-            flags = parts[0].flags + ("imaginary part negligible; certified the real part",)
+        if float(parts[1].size[idx].max(initial=0.0)) <= 1e-14 * scale:
+            cuts = (_cut(parts[0], idx, alg, p, epsilon, tol, max_iter),)
+            flags = cuts[0].flags + ("imaginary part negligible; certified the real part",)
         else:
-            half = float(epsilon) / 2.0
-            parts = tuple(_certify_part(*part, idx, alg, onset, p, half, tol, max_iter)
-                          for part in prepared)
-            e = _meet(parts[0].e, parts[1].e)
+            cuts = tuple(_cut(part, idx, alg, p, epsilon / 2.0, tol, max_iter)
+                         for part in parts)
             flags = (
                 "complex residuals split into Hermitian parts; e is the meet of the "
                 "part projections",
-            ) + parts[0].flags + parts[1].flags
-        certs.append(_verified(BauCertificate(
-            e, float(epsilon), sum(c.lam for c in parts), float(p), onset,
-            _compressed_sup(e, [s[idx] for s in stacks], [c[idx] for c in reach]),
-            sum(c.dominant_norm for c in parts), _trace_complement(e), len(idx),
-            flags, sum(c.iterations for c in parts), all(c.converged for c in parts),
-        )))
-    return tuple(certs)
+            ) + cuts[0].flags + cuts[1].flags
+        yield _certificate(cuts, flags, stacks, reach, idx, p, epsilon, min(box.lower))
 
 
 def certify_bau_complex(
@@ -271,7 +270,7 @@ def certify_bau_complex(
     e_R ^ e_I and the uniform bound is lambda_R + lambda_I. tail_sup is
     re-measured on the original complex residuals.
     """
-    return _certify_tails(residuals, p, epsilon, [residuals.box], tol, max_iter)[0]
+    return next(_certify_tails(residuals, p, epsilon, [residuals.box], tol, max_iter))
 
 
 def tail_box(family: AverageFamily, onset: int) -> Box:
@@ -296,10 +295,11 @@ def onset_ladder(
     residuals.restrict(tail_box(residuals, onset)), bit for bit. The
     residuals are split and prepared once for the whole ladder, and each
     tail takes its members by index, since the tails are nested sub-boxes.
-    Onsets beyond the family's box are skipped. Shrinking the tail can only
-    shrink the dominant, so lam is nonincreasing along the ladder up to
-    solver tolerance.
+    Onsets beyond the family's box are skipped, and onsets that give one tail
+    box are certified once. Shrinking the tail can only shrink the dominant,
+    so lam is nonincreasing along the ladder up to solver tolerance.
     """
     top = min(residuals.box.upper)
     boxes = [tail_box(residuals, m) for m in sorted({int(v) for v in onsets}) if m <= top]
-    return _certify_tails(residuals, p, epsilon, boxes, tol, max_iter)
+    boxes = list(dict.fromkeys(boxes))
+    return tuple(_certify_tails(residuals, p, epsilon, boxes, tol, max_iter))

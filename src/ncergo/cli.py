@@ -10,13 +10,13 @@ always identifies the effective scenario.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, NcError
 from .scenario import (
     TOOL_VERSION,
+    _read_config,
     emit_report,
     report_to_text,
     run_scenario,
@@ -84,52 +84,36 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_override(data: dict, keys: tuple[str, ...], value) -> None:
     d = data
     for k in keys[:-1]:
-        nxt = d.get(k)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            d[k] = nxt
-        d = nxt
+        d = d.setdefault(k, {})
+        if not isinstance(d, dict):  # a malformed block is reported, never replaced
+            raise ConfigError(f"malformed config: {k!r} is not an object, so "
+                              f"{'.'.join(keys)} cannot be overridden")
     d[keys[-1]] = value
 
 
-def _collect_overrides(args) -> list[tuple[tuple[str, ...], object]]:
-    overrides: list[tuple[tuple[str, ...], object]] = []
-    if args.seed_override is not None:
-        overrides.append((("seed",), args.seed_override))
-    if args.budget is not None:
-        overrides.append((("budget",), args.budget))
-    if args.command == "maximal":
-        if args.p_value is not None:
-            overrides.append((("p",), args.p_value))
-        if args.cutoffs is not None:
-            overrides.append((("cutoffs",), args.cutoffs))
-    elif args.command == "besicovitch":
-        if args.epsilon is not None:
-            overrides.append((("besicovitch", "epsilon"), args.epsilon))
-        if args.cutoff is not None:
-            overrides.append((("besicovitch", "cutoff"), args.cutoff))
-        if args.onset is not None:
-            overrides.append((("besicovitch", "onset"), args.onset))
-    elif args.command == "certify":
-        if args.epsilon is not None:
-            overrides.append((("certify", "epsilon"), args.epsilon))
-        if args.onsets is not None:
-            overrides.append((("certify", "onsets"), args.onsets))
-    return overrides
+# (subcommand, or None for every one; its argument; the config keys it sets),
+# applied in this order when the argument is given
+_OVERRIDES = (
+    (None, "seed_override", ("seed",)),
+    (None, "budget", ("budget",)),
+    ("maximal", "p_value", ("p",)),
+    ("maximal", "cutoffs", ("cutoffs",)),
+    ("besicovitch", "epsilon", ("besicovitch", "epsilon")),
+    ("besicovitch", "cutoff", ("besicovitch", "cutoff")),
+    ("besicovitch", "onset", ("besicovitch", "onset")),
+    ("certify", "epsilon", ("certify", "epsilon")),
+    ("certify", "onsets", ("certify", "onsets")),
+)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     path = Path(args.config)
     try:
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        for keys, value in _collect_overrides(args):
-            _apply_override(data, keys, value)
+        data = _read_config(path)
+        for command, arg, keys in _OVERRIDES:
+            if command in (None, args.command) and getattr(args, arg) is not None:
+                _apply_override(data, keys, getattr(args, arg))
         config = scenario_from_dict(data, base_dir=path.parent)
         tasks = None if args.command == "run" else [args.command]
         report = run_scenario(config, tasks)

@@ -74,7 +74,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.11"
+TOOL_VERSION = "0.1.12"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -573,14 +573,23 @@ def _read_scenario(data: dict, base_dir: str | Path) -> ScenarioConfig:
     )
 
 
+def _read_config(path: Path) -> dict:
+    """The JSON object in a scenario file; anything else is a ConfigError."""
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("scenario config must be a JSON object")
+    return data
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a scenario file."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data, base_dir=path.parent)
+    return scenario_from_dict(_read_config(path), base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------

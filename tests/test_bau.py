@@ -161,6 +161,16 @@ def test_onset_ladder_orders_and_skips():
     assert all(c.sound for c in certs)
 
 
+def test_onsets_that_give_one_tail_are_certified_once():
+    # every onset <= 4 of the box [4, 16]^2 gives the whole box as its tail
+    alg = Algebra((2,))
+    box = Box((4, 4), (16, 16))
+    rows = [[0.3 / (i + j), 0.2 / (i * j)] for i in range(4, 17) for j in range(4, 17)]
+    certs = onset_ladder(diag_family(alg, box, rows), p=2.0, epsilon=0.05, onsets=(1, 2, 4, 8))
+    assert [c.onset for c in certs] == [4, 8]
+    assert [c.tail_size for c in certs] == [box.size, 81]
+
+
 @pytest.mark.parametrize("route", ["certify_bau", "split", "real part", "onset_ladder"])
 def test_unsound_certificate_raises(monkeypatch, route):
     # a tail sup that no bound covers must never come back as a certificate
@@ -316,3 +326,105 @@ def test_capped_solve_marks_the_certificate_unconverged():
     cert = certify_bau(fam, p=2.0, epsilon=0.1, max_iter=1)
     assert not cert.converged and cert.sound
     assert "bound not tight: dominant solve hit the iteration cap" in cert.flags
+
+
+# ---------------------------------------------------------------------------
+# parts are cuts: one measured certificate per returned row, and parts
+# prepared straight from the residual stacks
+
+def count_sups(monkeypatch):
+    calls = []
+    sup = bau._compressed_sup
+
+    def counted(*args, **kwargs):
+        calls.append(args[1][0].shape[0])
+        return sup(*args, **kwargs)
+
+    monkeypatch.setattr(bau, "_compressed_sup", counted)
+    return calls
+
+
+def ladder_family(real):
+    rng = np.random.default_rng(5)
+    alg = Algebra((2, 1))
+    n = 9
+    rows = []
+    for k in range(1, n + 1):
+        x = alg.random_element(rng, kind="hermitian" if real else "general")
+        rows.append(alg.vec(x) / k)
+    return AverageFamily(alg, Box((1,), (n,)), np.stack(rows), "synthetic")
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_one_tail_sup_per_certificate(monkeypatch, real):
+    fam = ladder_family(real)
+    calls = count_sups(monkeypatch)
+    certs = onset_ladder(fam, p=2.0, epsilon=0.05, onsets=(1, 2, 4, 8))
+    note = "imaginary part negligible" if real else "complex residuals split"
+    assert all(any(note in f for f in c.flags) for c in certs)
+    assert calls == [c.tail_size for c in certs] == [9, 8, 6, 2]
+
+
+def test_certify_bau_measures_once(monkeypatch):
+    calls = count_sups(monkeypatch)
+    cert = certify_bau(ladder_family(True), p=2.0, epsilon=0.05)
+    assert calls == [cert.tail_size]
+
+
+ENTRIES = {
+    "certify_bau": certify_bau,
+    "certify_bau_complex": certify_bau_complex,
+    "onset_ladder": lambda fam, p, epsilon: onset_ladder(fam, p, epsilon, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("p, epsilon, message", [
+    (1.0, 0.05, "certification needs 1 < p < inf, got 1.0"),
+    (np.inf, 0.05, "certification needs 1 < p < inf, got inf"),
+    (1.0, 0.0, "certification needs 1 < p < inf, got 1.0"),
+    (2.0, 0.0, "epsilon must lie in \\(0, 3.0\\), got 0.0"),
+    (2.0, 3.0, "epsilon must lie in \\(0, 3.0\\), got 3.0"),
+])
+def test_budget_is_checked_p_first(entry, p, epsilon, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ENTRIES[entry](ladder_family(entry == "certify_bau"), p, epsilon)
+
+
+def test_hermiticity_is_checked_before_the_budget():
+    with pytest.raises(StructuralError, match="certify_bau_complex"):
+        certify_bau(ladder_family(False), p=1.0, epsilon=0.0)
+
+
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e-300, 7.0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=2), n=st.integers(1, 4),
+       data=st.data())
+def test_parts_are_prepared_from_the_residual_stacks(dims, n, data):
+    alg = Algebra(tuple(dims))
+    m = n * alg.basis_size
+    vec = np.empty(m, dtype=complex)  # set part by part: re + 1j * im drops signed zeros
+    vec.real = data.draw(st.lists(VALUES, min_size=m, max_size=m))
+    vec.imag = data.draw(st.lists(VALUES, min_size=m, max_size=m))
+    fam = AverageFamily(alg, Box((1,), (n,)), vec.reshape(n, -1), "synthetic")
+    given = []
+    prepare = bau.prepare_signed
+
+    class Prepared(Exception):
+        pass
+
+    def captured(stacks, **kwargs):
+        given.append(stacks)
+        if len(given) == 2:  # both parts: nothing after preparation is under test
+            raise Prepared
+        return prepare(stacks, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bau, "prepare_signed", captured)
+        with pytest.raises(Prepared):
+            certify_bau_complex(fam, p=2.0, epsilon=0.5)
+    # each part is prepared from what hermitian_split holds, bit for bit
+    for stacks, part in zip(given, fam.hermitian_split(), strict=True):
+        assert [s.tobytes() for s in stacks] == [s.tobytes() for s in part.block_stacks()]

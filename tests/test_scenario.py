@@ -839,6 +839,48 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+# case: (the file's bytes, None for no file or "directory" for a directory;
+# the CLI's arguments after --config): each is a configuration error, never
+# a traceback
+UNREADABLE = {
+    "not UTF-8": (b"\xff\xfe{}", ["run"]),
+    "not JSON": (b"{", ["run"]),
+    "missing": (None, ["run"]),
+    "a directory": ("directory", ["run"]),
+    "array": (b"[1, 2]", ["run"]),
+    "array, seed override": (b"[1, 2]", ["run", "--seed-override", "3"]),
+    "array, epsilon override": (b"[1, 2]", ["certify", "--epsilon", "0.1"]),
+    "certify block an int, epsilon override": (
+        json.dumps(small_config(certify=5)).encode(), ["certify", "--epsilon", "0.05"]),
+    "besicovitch block a list, onset override": (
+        json.dumps(small_config(besicovitch=[1])).encode(), ["besicovitch", "--onset", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
+    data, (command, *flags) = UNREADABLE[case]
+    path = tmp_path / "scenario.json"
+    if data == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    assert cli_main([command, "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    if not flags:
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+
+
+def test_override_creates_a_missing_block(tmp_path, capsys):
+    data = small_config()
+    data.pop("certify", None)
+    path = write_config(tmp_path, data)
+    assert cli_main(["certify", "--config", str(path), "--epsilon", "0.05"]) == 0
+    (certify,) = [t for t in parse_report(capsys.readouterr().out).tasks if t.name == "certify"]
+    assert certify.summary["epsilon"] == 0.05
+
+
 TERMS = small_config()["weight"]["terms"]
 PINCH = small_config()["contractions"][0]
 

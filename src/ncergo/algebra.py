@@ -437,6 +437,9 @@ def stack_trace(alg: Algebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
+_TINY = 2.2250738585072014e-308  # the smallest normal double, sys.float_info.min
+
+
 def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.ndarray:
     """Per-member weighted Schatten-type norm over (n, d_b, d_b) stacks.
 
@@ -445,12 +448,31 @@ def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.nd
     (sum_b w_b sum_ij (Re x_ij^2 + Im x_ij^2))^(1/2), summed a chunk of
     members at a time. Blocks are added in block order from 0. The final
     root is a Python float power per member, since numpy's vectorized power
-    can differ from libm pow in the last bit.
+    can differ from libm pow in the last bit. A member whose power sum
+    leaves the normal range (0 or subnormal while the member is nonzero, or
+    inf while it is finite) has it taken again of the member times 2^-k,
+    k the binary exponent of its max |entry|, and its root is scaled back
+    by 2^k; both scalings are exact, and every other norm keeps its bits.
     """
-    if p != np.inf:
-        p = float(p)
-        if not np.isfinite(p) or p < 1:
-            raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
+    if p == np.inf:
+        return np.maximum.reduce([np.linalg.svd(s, compute_uv=False)[:, 0] for s in stacks])
+    p = float(p)
+    if not np.isfinite(p) or p < 1:
+        raise ValueError(f"norm order must satisfy p >= 1 or p = inf, got {p}")
+    with np.errstate(over="ignore"):  # a power sum or norm past the largest double is inf
+        total = _power_sums(alg, stacks, p)
+        k = np.zeros(total.shape, dtype=np.int32)
+        lost = np.flatnonzero((total < _TINY) | (total == np.inf))
+        if lost.size:
+            peak = stack_abs_max(s[lost] for s in stacks)
+            k[lost] = np.frexp(peak)[1]
+            lost = lost[(peak > 0) & (peak < np.inf)]
+            total[lost] = _power_sums(alg, [_ldexp(s[lost], -k[lost]) for s in stacks], p)
+        return np.ldexp([t ** (1.0 / p) for t in total.tolist()], k)
+
+
+def _power_sums(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """sum_b w_b ||x_b||_p^p per member, for finite p >= 1."""
     if p == 2.0:
         powers = []
         for s in stacks:
@@ -462,14 +484,21 @@ def stack_lp_norm(alg: Algebra, stacks: Sequence[np.ndarray], p: float) -> np.nd
                 np.sum(c.real**2 + c.imag**2, axis=(1, 2), out=sums[i:i + rows])
             powers.append(sums)
     else:
-        svals = [np.linalg.svd(s, compute_uv=False) for s in stacks]
-        if p == np.inf:
-            return np.maximum.reduce([s[:, 0] for s in svals])
-        powers = [np.sum(s**p, axis=-1) for s in svals]
+        powers = [np.sum(np.linalg.svd(s, compute_uv=False)**p, axis=-1) for s in stacks]
     total = 0
     for w, s in zip(alg.trace_weights, powers):
         total = total + w * s
-    return np.array([t ** (1.0 / p) for t in total.tolist()], dtype=np.float64)
+    return total
+
+
+def _ldexp(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Member i of the stack s times 2^k_i, exactly unless it under- or overflows."""
+    k = k[:, None, None]
+    if not np.iscomplexobj(s):
+        return np.ldexp(s, k)
+    out = np.empty_like(s)
+    out.real, out.imag = np.ldexp(s.real, k), np.ldexp(s.imag, k)
+    return out
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,12 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         fmts = ("structured", "tabular") if args.format == "both" else (args.format,)
-        for written in emit_report(report, fmts, args.out):
+        try:
+            paths = emit_report(report, fmts, args.out)
+        except OSError as exc:
+            print(f"error: cannot write reports to {args.out}: {exc}", file=sys.stderr)
+            return 2
+        for written in paths:
             print(f"wrote {written}", file=sys.stderr)
     else:
         sys.stdout.write(report_to_text(report))

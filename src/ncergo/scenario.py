@@ -74,7 +74,7 @@ from .weights import (
     verify_besicovitch,
 )
 
-TOOL_VERSION = "0.1.12"
+TOOL_VERSION = "0.1.13"
 SCHEMA_VERSION = "1"
 
 TASK_ORDER = ("verify", "besicovitch", "average", "maximal", "certify")
@@ -1176,6 +1176,19 @@ def _csv_text(table: Table, floats) -> str:
     return "\n".join(map(",".join, lines)) + "\n"
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write text to path as a new file: an old file is unlinked, not rewritten.
+
+    On ext4 (auto_da_alloc), closing a file that was truncated and rewritten
+    in place starts its write-out and waits on it; closing a new file does
+    not. A symlink or hard link at path is replaced by a regular file, and
+    the directory must be writable.
+    """
+    path.unlink(missing_ok=True)
+    with path.open("x") as f:
+        f.write(text)
+
+
 def emit_report(
     report: RunReport,
     formats: Sequence[str] = ("structured",),
@@ -1188,7 +1201,7 @@ def emit_report(
     Each float column is formatted once for both files (_float_text), and
     each file renders a table's rows from its columns in one pass. A
     non-finite float raises IntegrityError in report.json and prints as
-    nan or inf in the CSV.
+    nan or inf in the CSV. Each file replaces any old one (_replace_file).
     """
     fmts = set(formats)
     unknown = fmts - {"structured", "tabular"}
@@ -1200,18 +1213,18 @@ def emit_report(
     floats = {id(tab): _float_text(tab) for t in report.tasks for tab in t.tables}
     if "structured" in fmts:
         path = out / "report.json"
-        path.write_text(canonical_json(_report_dict(report, floats)) + "\n")
+        _replace_file(path, canonical_json(_report_dict(report, floats)) + "\n")
         written.append(path)
     if "tabular" in fmts:
         for task in report.tasks:
             for table in task.tables:
                 path = out / f"{table.name}.csv"
-                path.write_text(_csv_text(table, floats[id(table)]))
+                _replace_file(path, _csv_text(table, floats[id(table)]))
                 written.append(path)
     for task in report.tasks:
         text = task.summary.get("projection_text")
         if text is not None:
             path = out / f"{task.name}_projection.txt"
-            path.write_text(text)
+            _replace_file(path, text)
             written.append(path)
     return sorted(written)

@@ -117,6 +117,33 @@ def test_lp_norm_weighted_blocks():
         assert lp_norm(one, p) == pytest.approx(3.5 ** (1 / p), abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_lp_norm_of_huge_and_tiny_members(p, scale):
+    # x = diag(3, -4) + (2i) with weights (1, 1/2): ||x||_p^p = 3^p + 4^p + 2^p / 2;
+    # the p-th powers of scale * x overflow or underflow, its norm must not
+    alg = Algebra((2, 1), (1.0, 0.5))
+    rng = np.random.default_rng(5)
+    y = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (2, 1)]
+    members = [[np.diag([3.0, -4.0]), np.array([[2j]])], y, [np.zeros((2, 2)), np.zeros((1, 1))]]
+    stacks = [np.stack([m[b] for m in members]).astype(complex) * scale for b in range(2)]
+    want = [scale * (3**p + 4**p + 2**p / 2) ** (1 / p),
+            scale * stack_lp_norm(alg, [b[1:2] / scale for b in stacks], p)[0], 0.0]
+    got = stack_lp_norm(alg, stacks, p)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert lp_norm(alg.element([b[0] for b in stacks]), p) == got[0]
+
+
+def test_lp_norm_near_the_largest_double():
+    # the all-c 2x2 matrix has singular values (2c, 0): its norm is 2c for every p,
+    # finite at c = 6e307 and inf, with no overflow warning, at c = 1e308
+    alg = Algebra((2,))
+    stacks = [np.stack([np.full((2, 2), 6e307), np.full((2, 2), 1e308)]).astype(complex)]
+    for p in (2.0, 3.0):
+        got = stack_lp_norm(alg, stacks, p)
+        assert got[0] == pytest.approx(1.2e308, rel=1e-14) and got[1] == np.inf
+
+
 def test_lp_norm_bad_exponent():
     alg = Algebra((2,))
     with pytest.raises(ValueError):

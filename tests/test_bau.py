@@ -51,6 +51,15 @@ def test_tail_box():
 # ---------------------------------------------------------------------------
 # trivial and oracle-checked certificates
 
+@pytest.mark.parametrize("value", [1e-160, 1e-170, 1e-300])
+def test_tiny_residual_certifies_at_its_norm(value):
+    # value^2 is subnormal or 0: the dominant's L_2 norm is taken of it scaled
+    fam = diag_family(Algebra((1,)), Box((1,), (1,)), [[value]])
+    cert = certify_bau(fam, p=2.0, epsilon=0.5)
+    assert cert.sound
+    assert cert.dominant_norm == pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_zero_residuals_certify_trivially():
     alg = Algebra((3,))
     fam = diag_family(alg, Box((1,), (5,)), [[0.0] * 3] * 5)

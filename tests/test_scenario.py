@@ -3,7 +3,9 @@
 import ast
 import copy
 import dataclasses
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +560,76 @@ def test_emit_report_files_round_trip(tmp_path):
         assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def small_report():
+    return run_scenario(scenario_from_dict(small_config()))
+
+
+def emit_both(report, out):
+    return emit_report(report, formats=("structured", "tabular"), out_dir=out)
+
+
+def test_emit_report_opens_no_existing_file_for_writing(small_report, tmp_path, monkeypatch):
+    # rewriting a file in place (truncate, then write) costs a flush on close
+    # on ext4; each report file must be created afresh instead
+    paths = emit_both(small_report, tmp_path)
+    assert {p.name for p in paths} >= {"report.json", "certify_projection.txt"}
+    opened, in_place = [], []
+    real_io_open, real_path_open = io.open, Path.open
+
+    def check(file, mode):
+        if isinstance(file, (str, Path)) and set(mode) & set("wxa+"):
+            opened.append(Path(file))
+            if os.path.lexists(file):
+                in_place.append(Path(file))
+
+    def io_open(file, mode="r", *args, **kwargs):
+        check(file, mode)
+        return real_io_open(file, mode, *args, **kwargs)
+
+    def path_open(self, mode="r", *args, **kwargs):
+        check(self, mode)
+        return real_path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr(Path, "open", path_open)
+    assert emit_both(small_report, tmp_path) == paths
+    monkeypatch.undo()
+    assert in_place == []
+    assert set(paths) <= set(opened)
+
+
+@pytest.mark.parametrize("stale", ["same", "longer"])
+def test_reemitting_over_old_files_matches_a_fresh_emission(small_report, tmp_path, stale):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    paths = emit_both(small_report, fresh)
+    reused.mkdir()
+    for path in paths:
+        old = path.read_bytes()
+        (reused / path.name).write_bytes(old if stale == "same" else old + b"stale tail\n" * 50)
+    assert [p.name for p in emit_both(small_report, reused)] == [p.name for p in paths]
+    for path in paths:
+        assert (reused / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("link", ["symlink", "hard link"])
+def test_a_link_at_a_report_path_is_replaced(small_report, tmp_path, link):
+    fresh, out, target = tmp_path / "fresh", tmp_path / "out", tmp_path / "target.json"
+    emit_both(small_report, fresh)
+    out.mkdir()
+    target.write_bytes(b"not a report\n")
+    if link == "symlink":
+        (out / "report.json").symlink_to(target)
+    else:
+        os.link(target, out / "report.json")
+    emit_both(small_report, out)
+    path = out / "report.json"
+    assert path.is_file() and not path.is_symlink()
+    assert path.stat().st_nlink == 1
+    assert path.read_bytes() == (fresh / "report.json").read_bytes()
+    assert target.read_bytes() == b"not a report\n"
+
+
 def test_average_table_float_columns_are_arrays():
     cfg = scenario_from_dict(small_config())
     [table] = {t.name: t for t in run_scenario(cfg, tasks=["average"]).tasks}[
@@ -870,6 +942,35 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, case):
     if not flags:
         with pytest.raises(ConfigError):
             load_scenario(path)
+
+
+def unwritable_out(out):
+    # a read-only directory holding a writable old report: its file cannot be replaced
+    out.mkdir()
+    (out / "report.json").write_text("old\n")
+    out.chmod(0o555)
+
+
+# case: how the --out path is set up before the run; each is an output error
+UNWRITABLE = {
+    "a regular file": lambda out: out.write_text("not a directory\n"),
+    "report.json a directory": lambda out: (out / "report.json").mkdir(parents=True),
+    "a read-only directory": pytest.param(unwritable_out, marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root writes to read-only directories")),
+}
+
+
+@pytest.mark.parametrize("make", UNWRITABLE.values(), ids=list(UNWRITABLE))
+def test_unwritable_out_is_an_output_error(tmp_path, capsys, make):
+    path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    make(out)
+    try:
+        assert cli_main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    finally:
+        if out.is_dir():
+            out.chmod(0o755)
+    assert f"error: cannot write reports to {out}: " in capsys.readouterr().err
 
 
 def test_override_creates_a_missing_block(tmp_path, capsys):
